@@ -76,174 +76,6 @@ let evaluate_query ~topology ~threshold_frac ~seed =
       deadline = None;
     }
 
-(* --- cluster phase: 4 TCP shards behind the consistent-hash router --- *)
-
-let cluster_evaluate ~seed =
-  evaluate_query ~topology:"b4" ~threshold_frac:0.05 ~seed
-
-let router_call sess req =
-  match S.Router.call sess req with
-  | Ok r -> (
-      match Json.member "ok" r with
-      | Some (Json.Bool true) -> r
-      | _ -> fail "cluster bench: request failed: %s" (Json.to_string r))
-  | Error e -> fail "cluster bench: %s" (S.Client.error_to_string e)
-
-let timed_router_call sess req =
-  let t0 = Unix.gettimeofday () in
-  let r = router_call sess req in
-  (1000. *. (Unix.gettimeofday () -. t0), r)
-
-let run_cluster () =
-  Common.section "serve: 4-shard cluster behind the router";
-  let shard_count = 4 in
-  let shards =
-    List.init shard_count (fun i ->
-        let socket_path =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "repro-serve-bench-shard%d-%d.sock" i
-               (Unix.getpid ()))
-        in
-        let config =
-          {
-            (S.Daemon.default_config ~socket_path) with
-            (* jobs = 1: a killed in-process shard must not leak pool
-               domains (Daemon.kill never drains) *)
-            S.Daemon.jobs = 1;
-            tcp_port = Some 0;
-          }
-        in
-        match S.Daemon.start config with
-        | Error e -> fail "cluster bench: shard %d: %s" i e
-        | Ok h -> (
-            match S.Daemon.tcp_port h with
-            | Some port -> (h, port)
-            | None -> fail "cluster bench: shard %d has no TCP port" i))
-  in
-  let addrs =
-    List.map
-      (fun (_, port) -> S.Protocol.Tcp { host = "127.0.0.1"; port })
-      shards
-  in
-  Common.row "shards on tcp ports %s (jobs 1 each)"
-    (String.concat "," (List.map (fun (_, p) -> string_of_int p) shards));
-  let router = S.Router.create ~heartbeat_interval:0.1 ~miss_limit:2 addrs in
-  S.Router.start router;
-  let hot_seeds = List.init (if Common.full_mode then 16 else 6) (fun i -> i + 1) in
-  (* seed pass: populate the cluster's caches (one real solve per key,
-     placed by the ring) *)
-  let seed_sess = S.Router.session router in
-  List.iter
-    (fun seed -> ignore (router_call seed_sess (cluster_evaluate ~seed)))
-    hot_seeds;
-  S.Router.close_session seed_sess;
-
-  (* mixed hot/cold workload from concurrent sessions: every third call
-     is a fresh instance (a real solve on its owning shard), the rest
-     re-hit seeded keys *)
-  let threads = 4 in
-  let rounds = if Common.full_mode then 6 else 3 in
-  let hot = Array.of_list hot_seeds in
-  let per_thread = rounds * Array.length hot in
-  let latencies = Array.make_matrix threads per_thread 0. in
-  let t_mixed = Unix.gettimeofday () in
-  let workers =
-    List.init threads (fun t ->
-        Thread.create
-          (fun () ->
-            let sess = S.Router.session router in
-            Fun.protect
-              ~finally:(fun () -> S.Router.close_session sess)
-              (fun () ->
-                for op = 0 to per_thread - 1 do
-                  let req =
-                    if op mod 3 = 2 then
-                      cluster_evaluate ~seed:(1000 + (t * per_thread) + op)
-                    else cluster_evaluate ~seed:hot.(op mod Array.length hot)
-                  in
-                  let ms, _ = timed_router_call sess req in
-                  latencies.(t).(op) <- ms
-                done))
-          ())
-  in
-  List.iter Thread.join workers;
-  let mixed_wall = Unix.gettimeofday () -. t_mixed in
-  let mixed = Array.concat (Array.to_list latencies) in
-  let (_, mixed_json) = summary "mixed" mixed in
-  let aggregate_rps =
-    if mixed_wall > 0. then float_of_int (Array.length mixed) /. mixed_wall
-    else 0.
-  in
-  Common.row "  aggregate throughput: %.0f requests/s (%d sessions, 4 shards)"
-    aggregate_rps threads;
-
-  (* kill one shard mid-workload: every request must still succeed;
-     recovery time is kill -> first routed reply *)
-  let victim, _ = List.nth shards 1 in
-  let sess = S.Router.session router in
-  let failovers_before = (S.Router.stats router).S.Router.failovers in
-  let t_kill = Unix.gettimeofday () in
-  S.Daemon.kill victim;
-  (* drive hot then fresh keys until one lands on the dead shard and
-     fails over; recovery is kill -> that first failed-over reply *)
-  let rec drive i =
-    if i >= 200 then
-      fail "cluster bench: no request ever routed to the dead shard";
-    let seed = if i < Array.length hot then hot.(i) else 5000 + i in
-    ignore (router_call sess (cluster_evaluate ~seed));
-    if (S.Router.stats router).S.Router.failovers <= failovers_before then
-      drive (i + 1)
-  in
-  drive 0;
-  let recovery_ms = 1000. *. (Unix.gettimeofday () -. t_kill) in
-  let post_kill =
-    Array.init
-      (2 * Array.length hot)
-      (fun i ->
-        fst
-          (timed_router_call sess
-             (cluster_evaluate ~seed:hot.(i mod Array.length hot))))
-  in
-  S.Router.close_session sess;
-  let (_, post_kill_json) = summary "kill" post_kill in
-  let st = S.Router.stats router in
-  if st.S.Router.failed > 0 then
-    fail "cluster bench: %d request(s) exhausted every shard"
-      st.S.Router.failed;
-  Common.row
-    "  killed 1 of 4 shards: first reply %.1f ms after kill, 0 failed \
-     requests, %d failovers"
-    recovery_ms st.S.Router.failovers;
-  S.Router.shutdown router;
-  List.iteri
-    (fun i (h, _) ->
-      if i <> 1 then begin
-        S.Daemon.stop h;
-        S.Daemon.wait h
-      end)
-    shards;
-  Json.Obj
-    [
-      ("shards", Json.Num (float_of_int shard_count));
-      ("sessions", Json.Num (float_of_int threads));
-      ("mixed", mixed_json);
-      ("aggregate_rps", Json.Num aggregate_rps);
-      ( "kill_one_shard",
-        Json.Obj
-          [
-            ("recovery_ms", Json.Num recovery_ms);
-            ("failed_requests", Json.Num (float_of_int st.S.Router.failed));
-            ("post_kill", post_kill_json);
-          ] );
-      ( "router",
-        Json.Obj
-          [
-            ("routed", Json.Num (float_of_int st.S.Router.routed));
-            ("failovers", Json.Num (float_of_int st.S.Router.failovers));
-            ("shed", Json.Num (float_of_int st.S.Router.shed));
-          ] );
-    ]
-
 let run () =
   Common.section "serve: gap-query daemon load generator";
   let socket_path =
@@ -398,7 +230,6 @@ let run () =
       if max_batch <= 1 then
         fail "serve bench: concurrent burst never formed a batch (max_batch %d)"
           max_batch;
-      let cluster_json = run_cluster () in
       let take name =
         Option.value (Json.member name stats) ~default:Json.Null
       in
@@ -424,7 +255,6 @@ let run () =
               ("result_cache", take "result_cache");
               ("oracle_cache", take "oracle_cache");
               ("scheduler", take "scheduler");
-              ("cluster", cluster_json);
             ])
       in
       let oc = open_out "BENCH_serve.json" in

@@ -1049,19 +1049,9 @@ let socket_arg =
     & opt string "/tmp/repro-serve.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
 
-let parse_addrs what specs =
-  List.map
-    (fun s ->
-      match Serve.Protocol.addr_of_string s with
-      | Ok a -> a
-      | Error e ->
-          Fmt.epr "repro-serve: bad %s address %S: %s@." what s e;
-          exit 1)
-    specs
-
 let serve_cmd =
-  let run socket tcp peers jobs cache_mb cache_dir persist queue_limit
-      batch_max heartbeat_timeout verbose =
+  let run socket jobs cache_mb cache_dir persist queue_limit batch_max
+      heartbeat_timeout verbose =
     setup_logs verbose;
     let cache_dir =
       match (cache_dir, persist) with
@@ -1072,9 +1062,7 @@ let serve_cmd =
     let config =
       {
         (Serve.Daemon.default_config ~socket_path:socket) with
-        Serve.Daemon.tcp_port = tcp;
-        peers = parse_addrs "peer" peers;
-        jobs;
+        Serve.Daemon.jobs;
         cache_mb;
         cache_dir;
         queue_limit;
@@ -1082,24 +1070,18 @@ let serve_cmd =
         heartbeat_timeout;
       }
     in
-    match Serve.Daemon.start config with
+    let ready () =
+      Fmt.pr "repro-serve: listening on %s (jobs %d, cache %d MiB%s)@." socket
+        jobs cache_mb
+        (match cache_dir with
+        | Some d -> ", journal in " ^ d
+        | None -> ", in-memory only")
+    in
+    match Serve.Daemon.run ~ready config with
+    | Ok () -> ()
     | Error e ->
         Fmt.epr "repro-serve: %s@." e;
         exit 1
-    | Ok h ->
-        Fmt.pr "repro-serve: listening on %s%s (jobs %d, cache %d MiB%s%s)@."
-          socket
-          (match Serve.Daemon.tcp_port h with
-          | Some p -> Printf.sprintf " + tcp 127.0.0.1:%d" p
-          | None -> "")
-          jobs cache_mb
-          (match cache_dir with
-          | Some d -> ", journal in " ^ d
-          | None -> ", in-memory only")
-          (match peers with
-          | [] -> ""
-          | l -> ", replicating " ^ String.concat "," l);
-        Serve.Daemon.wait h
   in
   let cache_mb_arg =
     let doc = "Result-cache budget in MiB." in
@@ -1137,128 +1119,21 @@ let serve_cmd =
     Arg.(
       value & opt (some float) None & info [ "watchdog" ] ~docv:"SECONDS" ~doc)
   in
-  let tcp_arg =
-    let doc =
-      "Additionally listen on 127.0.0.1:PORT with CRC-checked binary \
-       framing (0 picks an ephemeral port, printed on the ready line). \
-       Required for cluster mode: the router and peer replication speak \
-       TCP."
-    in
-    Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
-  in
-  let peers_arg =
-    let doc =
-      "Comma-separated peer shard addresses (HOST:PORT or socket paths) \
-       whose solve/basis journals this daemon tails: their cached work \
-       streams into this daemon's caches, so a fresh replacement warms \
-       from survivors."
-    in
-    Arg.(value & opt (list string) [] & info [ "peers" ] ~docv:"ADDR,.." ~doc)
-  in
   let term =
     Term.(
-      const run $ socket_arg $ tcp_arg $ peers_arg $ jobs_arg $ cache_mb_arg
-      $ cache_dir_arg $ persist_arg $ queue_limit_arg $ batch_max_arg
-      $ watchdog_arg $ verbose_arg)
+      const run $ socket_arg $ jobs_arg $ cache_mb_arg $ cache_dir_arg
+      $ persist_arg $ queue_limit_arg $ batch_max_arg $ watchdog_arg
+      $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the gap-query daemon: a Unix-socket (and optionally TCP) \
-          service with a content-addressed solve cache, request batching \
-          and peer journal replication")
-    term
-
-let router_cmd =
-  let run listen shards vnodes deadline miss_limit heartbeat verbose =
-    setup_logs verbose;
-    let listen =
-      match Serve.Protocol.addr_of_string listen with
-      | Ok a -> a
-      | Error e ->
-          Fmt.epr "repro-router: bad listen address %S: %s@." listen e;
-          exit 1
-    in
-    (match shards with
-    | [] ->
-        Fmt.epr "repro-router: --shards must name at least one shard@.";
-        exit 1
-    | _ -> ());
-    let router =
-      Serve.Router.create ~vnodes ~miss_limit ~heartbeat_interval:heartbeat
-        ?deadline
-        (parse_addrs "shard" shards)
-    in
-    match Serve.Router.serve_start router ~listen with
-    | Error e ->
-        Fmt.epr "repro-router: %s@." e;
-        exit 1
-    | Ok server ->
-        Fmt.pr "repro-router: listening on %s%s, %d shards (%s)@."
-          (Serve.Protocol.addr_to_string listen)
-          (match (listen, Serve.Router.server_port server) with
-          | Serve.Protocol.Tcp { port = 0; _ }, Some p ->
-              Printf.sprintf " (port %d)" p
-          | _ -> "")
-          (List.length shards)
-          (String.concat "," shards);
-        Serve.Router.serve_wait server
-  in
-  let listen_arg =
-    let doc =
-      "Address to listen on: HOST:PORT / :PORT (CRC framing) or a Unix \
-       socket path (plain framing)."
-    in
-    Arg.(
-      value
-      & opt string "127.0.0.1:7100"
-      & info [ "listen" ] ~docv:"ADDR" ~doc)
-  in
-  let shards_arg =
-    let doc =
-      "Comma-separated shard addresses forming the consistent-hash ring."
-    in
-    Arg.(
-      required
-      & opt (some (list string)) None
-      & info [ "shards" ] ~docv:"ADDR,.." ~doc)
-  in
-  let vnodes_arg =
-    let doc = "Virtual nodes per shard on the hash ring." in
-    Arg.(value & opt int 64 & info [ "vnodes" ] ~docv:"N" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Per-request failover budget in seconds (0 = none): past it the \
-       client gets 'unavailable' instead of another failover attempt."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
-  in
-  let miss_limit_arg =
-    let doc = "Mark a shard dead after this many consecutive missed probes." in
-    Arg.(value & opt int 2 & info [ "miss-limit" ] ~docv:"N" ~doc)
-  in
-  let heartbeat_arg =
-    let doc = "Failure-detector probe period, seconds." in
-    Arg.(value & opt float 0.5 & info [ "heartbeat" ] ~docv:"SECONDS" ~doc)
-  in
-  let term =
-    Term.(
-      const run $ listen_arg $ shards_arg $ vnodes_arg $ deadline_arg
-      $ miss_limit_arg $ heartbeat_arg $ verbose_arg)
-  in
-  Cmd.v
-    (Cmd.info "router"
-       ~doc:
-         "Run the shard router: consistent-hashes each query's routing key \
-          over the shard ring, sheds per-shard load through circuit \
-          breakers, and fails requests over to the next live shard when \
-          one dies")
+         "Run the gap-query daemon: a Unix-socket service with a \
+          content-addressed solve cache and request batching")
     term
 
 let client_cmd =
-  let run socket addr op g paths heuristic threshold_frac parts instances seed
+  let run socket op g paths heuristic threshold_frac parts instances seed
       gen file method_ time deadline degrade retries =
     let heuristic =
       match heuristic with
@@ -1302,17 +1177,7 @@ let client_cmd =
       exit (Serve.Client.exit_code e)
     in
     let policy = { Repro_resilience.Retry.default_policy with retries } in
-    let conn =
-      match addr with
-      | None -> Serve.Client.connect_retry ~policy ~seed socket
-      | Some spec -> (
-          match Serve.Protocol.addr_of_string spec with
-          | Ok a -> Serve.Client.connect_addr_retry ~policy ~seed a
-          | Error e ->
-              Fmt.epr "repro-metaopt client: bad address %S: %s@." spec e;
-              exit 1)
-    in
-    match conn with
+    match Serve.Client.connect_retry ~policy ~seed socket with
     | Error e -> fail e
     | Ok c ->
         Fun.protect
@@ -1378,21 +1243,9 @@ let client_cmd =
     in
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
   in
-  let addr_arg =
-    let doc =
-      "Connect to this address instead of --socket: HOST:PORT / :PORT (a \
-       TCP shard or the router, CRC framing) or a Unix socket path. \
-       --router is an alias: point it at a running 'router' process to \
-       have queries consistent-hashed across the shard ring."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "addr"; "router" ] ~docv:"ADDR" ~doc)
-  in
   let term =
     Term.(
-      const run $ socket_arg $ addr_arg $ op_arg $ topology_arg $ paths_arg
+      const run $ socket_arg $ op_arg $ topology_arg $ paths_arg
       $ heuristic_arg $ threshold_frac_arg $ parts_arg $ instances_arg
       $ seed_arg $ demand_gen_arg $ demands_file_arg $ method_arg $ time_arg
       $ deadline_arg $ degrade_arg $ retries_arg)
@@ -1400,9 +1253,8 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:
-         "Query a running gap-query daemon (Unix socket by default, or a \
-          TCP shard / router via --addr). Exit codes: 0 success, 1 \
-          transport error, 2 application error, 3 connection refused, 4 \
+         "Query a running gap-query daemon over its Unix socket. Exit \
+          codes: 0 success, 1 transport error, 2 application error, 3 connection refused, 4 \
           deadline exceeded, 5 malformed reply.")
     term
 
@@ -1418,5 +1270,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ topology_cmd; evaluate_cmd; find_gap_cmd; families_cmd; sweep_cmd;
-            find_capacity_gap_cmd; solve_lp_cmd; serve_cmd; router_cmd;
-            client_cmd ]))
+            find_capacity_gap_cmd; solve_lp_cmd; serve_cmd; client_cmd ]))

@@ -13,19 +13,7 @@
 
     Points are process-global (chaos tests exercise whole stacks, and
     worker domains must see the same schedule), so arm/disarm from one
-    test at a time.
-
-    {b Network fault points} (serve-stack chaos, armed like any other —
-    e.g. [REPRO_FAULTS="conn_reset:0.1"]):
-    - ["conn_reset"] — a CRC-framed write ships only a frame prefix,
-      shuts the socket down and raises [ECONNRESET]: the peer sees a
-      torn frame then a dead connection (mid-write peer crash).
-    - ["partial_write"] — a CRC-framed write is split into two delayed
-      [write] calls: exercises short-read handling in the frame decoder
-      without killing the connection.
-    - ["slow_peer"] — the daemon stalls 200ms before writing a
-      response: exercises client/router timeouts, failover and the
-      failure detector's bounded ping. *)
+    test at a time. *)
 
 exception Injected of string
 (** Raised by {!inject} when its point fires: the simulated crash. *)

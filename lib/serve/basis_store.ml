@@ -94,21 +94,6 @@ let store t k snap =
   Atomic.incr t.store_count;
   Solve_cache.insert t.cache k ~cost_bytes:(cost_bytes snap) snap
 
-let mem t k = Solve_cache.mem t.cache k
-
-(* Replication path: a raw journal record streamed from a peer. Decode
-   validates the layout; re-encoding on insert round-trips losslessly,
-   so the local journal (when attached) stays self-sufficient. *)
-let apply_serialized t ~key ~value =
-  match decode value with
-  | None -> false
-  | Some snap ->
-      if Solve_cache.mem t.cache key then false
-      else begin
-        Solve_cache.insert t.cache key ~cost_bytes:(cost_bytes snap) snap;
-        true
-      end
-
 let with_journal t ~path = Solve_cache.with_journal t.cache ~path ~encode ~decode
 
 let stats t =

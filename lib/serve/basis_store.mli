@@ -55,16 +55,6 @@ val key :
 val find : t -> Fingerprint.t -> Repro_lp.Simplex.basis_snapshot option
 val store : t -> Fingerprint.t -> Repro_lp.Simplex.basis_snapshot -> unit
 
-val mem : t -> Fingerprint.t -> bool
-(** Presence without touching hit/miss counters or LRU order. *)
-
-val apply_serialized : t -> key:Fingerprint.t -> value:string -> bool
-(** Replication: install a raw journal record streamed from a peer.
-    Returns [false] (a no-op) when the value fails to decode or the key
-    is already resident — so two shards tailing each other never
-    ping-pong the same record back and forth. Does not count as a
-    {!stats} store. *)
-
 (** Replay [path] into the store, then append every future {!store} to
     it; same contract as {!Solve_cache.with_journal} (call at most once
     per store, CRC-checked records, corrupt tails skipped). Returns the

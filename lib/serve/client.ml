@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; framing : [ `Plain | `Crc ] }
+type t = { fd : Unix.file_descr }
 
 (* ---- typed errors --------------------------------------------------- *)
 
@@ -22,59 +22,27 @@ let exit_code = function
   | Connect_refused _ -> 3
   | Malformed_reply _ -> 5
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> Some addr
-  | exception Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } -> None
-      | h -> Some h.Unix.h_addr_list.(0)
-      | exception Not_found -> None)
-
-let connect_addr_typed addr =
-  let describe = Protocol.addr_to_string addr in
-  let refused e =
-    (* ECONNRESET here is the freshly-restarting daemon slamming the
-       half-open queue shut — as transient as ECONNREFUSED *)
-    match e with
-    | Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET | Unix.ETIMEDOUT
-    | Unix.EHOSTUNREACH | Unix.ENETUNREACH ->
-        true
-    | _ -> false
-  in
-  let finish fd sockaddr framing =
-    match Unix.connect fd sockaddr with
-    | () -> Ok { fd; framing }
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        let msg =
-          Printf.sprintf "cannot connect to %s: %s" describe
-            (Unix.error_message e)
-        in
-        Error (if refused e then Connect_refused msg else Io msg)
-  in
-  match addr with
-  | Protocol.Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      finish fd (Unix.ADDR_UNIX path) `Plain
-  | Protocol.Tcp { host; port } -> (
-      match resolve_host host with
-      | None -> Error (Connect_refused ("cannot resolve host " ^ host))
-      | Some ip ->
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          finish fd (Unix.ADDR_INET (ip, port)) `Crc)
-
-let connect_typed path = connect_addr_typed (Protocol.Unix_sock path)
-
-let connect_addr_retry ?policy ?seed addr =
-  Repro_resilience.Retry.run ?policy ?seed
-    ~retryable:(function Connect_refused _ -> true | _ -> false)
-    (fun ~attempt:_ -> connect_addr_typed addr)
+let connect_typed path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> Ok { fd }
+  | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      let msg =
+        Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e)
+      in
+      (* ECONNRESET here is the freshly-restarting daemon slamming the
+         half-open queue shut — as transient as ECONNREFUSED *)
+      Error
+        (match e with
+        | Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET ->
+            Connect_refused msg
+        | _ -> Io msg)
 
 let connect_retry ?policy ?seed path =
-  connect_addr_retry ?policy ?seed (Protocol.Unix_sock path)
+  Repro_resilience.Retry.run ?policy ?seed
+    ~retryable:(function Connect_refused _ -> true | _ -> false)
+    (fun ~attempt:_ -> connect_typed path)
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -84,65 +52,39 @@ let set_timeouts t seconds =
     Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO seconds
   with Unix.Unix_error _ -> ()
 
-let write_payload t payload =
-  match t.framing with
-  | `Plain -> Protocol.write_frame t.fd payload
-  | `Crc -> Protocol.write_frame_crc t.fd payload
-
-let read_reply t =
-  match t.framing with
-  | `Plain -> (
-      match Protocol.read_frame t.fd with
-      | Ok v -> Ok v
-      | Error e -> Error (Io ("receive failed: " ^ e))
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Io ("receive failed: " ^ Unix.error_message e)))
-  | `Crc -> (
-      match Protocol.read_frame_crc t.fd with
-      | Ok v -> Ok v
-      | Error e ->
-          Error (Io ("receive failed: " ^ Protocol.frame_error_to_string e))
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Io ("receive failed: " ^ Unix.error_message e)))
-
-let request_raw t payload =
-  match write_payload t payload with
+let request_typed t json =
+  match Protocol.write_frame t.fd (Json.to_string json) with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Io ("send failed: " ^ Unix.error_message e))
   | () -> (
-      match read_reply t with
-      | Error _ as e -> e
+      match Protocol.read_frame t.fd with
+      | Error e -> Error (Io ("receive failed: " ^ e))
       | Ok None -> Error (Io "daemon closed the connection")
-      | Ok (Some reply) -> Ok reply)
-
-let request_typed t json =
-  match request_raw t (Json.to_string json) with
-  | Error _ as e -> e
-  | Ok payload -> (
-      match Json.of_string payload with
-      | Error e -> Error (Malformed_reply e)
-      | Ok j -> Ok j)
+      | Ok (Some payload) -> (
+          match Json.of_string payload with
+          | Error e -> Error (Malformed_reply e)
+          | Ok j -> Ok j)
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Io ("receive failed: " ^ Unix.error_message e)))
 
 (* Split a parsed reply on its "ok" member: an application-level error
    becomes typed, a reply without a boolean "ok" is malformed. *)
-let split_ok j =
-  match Json.obj_bool "ok" j with
-  | Some true -> Ok j
-  | Some false ->
-      let code, message =
-        match Json.member "error" j with
-        | Some err ->
-            ( Option.value ~default:"internal" (Json.obj_str "code" err),
-              Option.value ~default:"" (Json.obj_str "message" err) )
-        | None -> ("internal", "error reply without error object")
-      in
-      Error (App_error { code; message })
-  | None -> Error (Malformed_reply "reply has no boolean \"ok\" member")
-
 let call_typed t req =
   match request_typed t (Protocol.request_to_json req) with
   | Error _ as e -> e
-  | Ok j -> split_ok j
+  | Ok j -> (
+      match Json.obj_bool "ok" j with
+      | Some true -> Ok j
+      | Some false ->
+          let code, message =
+            match Json.member "error" j with
+            | Some err ->
+                ( Option.value ~default:"internal" (Json.obj_str "code" err),
+                  Option.value ~default:"" (Json.obj_str "message" err) )
+            | None -> ("internal", "error reply without error object")
+          in
+          Error (App_error { code; message })
+      | None -> Error (Malformed_reply "reply has no boolean \"ok\" member"))
 
 (* ---- legacy string-error API ---------------------------------------- *)
 

@@ -28,12 +28,10 @@ val exit_code : error -> int
     3 connection refused, 4 deadline exceeded, 5 malformed reply. *)
 
 val connect_typed : string -> (t, error) result
-
-val connect_addr_typed : Protocol.addr -> (t, error) result
-(** Dial a Unix socket (plain frames) or a TCP shard (CRC frames,
-    [TCP_NODELAY]). Transient refusals — [ECONNREFUSED], [ENOENT],
-    [ECONNRESET], unreachable/timeout — classify as [Connect_refused]
-    so retry policies treat a restarting daemon uniformly. *)
+(** Dial the daemon's Unix socket. Transient refusals —
+    [ECONNREFUSED], [ENOENT], [ECONNRESET] — classify as
+    [Connect_refused] so retry policies treat a restarting daemon
+    uniformly. *)
 
 val connect_retry :
   ?policy:Repro_resilience.Retry.policy ->
@@ -44,36 +42,20 @@ val connect_retry :
     [Connect_refused] (a daemon still starting, or restarting) with
     jittered exponential backoff; other errors return immediately. *)
 
-val connect_addr_retry :
-  ?policy:Repro_resilience.Retry.policy ->
-  ?seed:int ->
-  Protocol.addr ->
-  (t, error) result
-(** {!connect_addr_typed} under the same retry policy. *)
-
 val set_timeouts : t -> float -> unit
 (** Socket send/receive timeouts in seconds ([SO_RCVTIMEO] /
-    [SO_SNDTIMEO]); a deadline-bounded router call uses this so a hung
-    shard surfaces as [Io] instead of blocking forever. Best-effort. *)
-
-val request_raw : t -> string -> (string, error) result
-(** One round trip of raw payload bytes, no JSON parsing — the router
-    proxy relays replies verbatim so routed responses stay
-    byte-identical to single-shard ones. *)
+    [SO_SNDTIMEO]), so a hung daemon surfaces as [Io] instead of
+    blocking forever. Best-effort. *)
 
 val request_typed : t -> Json.t -> (Json.t, error) result
 (** One round trip; [Ok] is any parsed reply, including
     [{"ok":false}]. *)
 
-val split_ok : Json.t -> (Json.t, error) result
-(** Classify a parsed reply on its ["ok"] member: [{"ok":false}]
-    becomes [App_error], a reply without a boolean ["ok"] is
-    [Malformed_reply]. The router uses this on relayed bytes. *)
-
 val call_typed : t -> Protocol.request -> (Json.t, error) result
 (** {!request_typed} on the encoded request, then splits the reply on
     ["ok"]: [Ok json] is a success reply, [{"ok":false}] becomes
-    [App_error]. *)
+    [App_error], a reply without a boolean ["ok"] is
+    [Malformed_reply]. *)
 
 (** {1 Legacy string-error API} *)
 

@@ -6,11 +6,6 @@ module Resilience = Repro_resilience
 
 type config = {
   socket_path : string;
-  tcp_port : int option;
-      (* also listen on 127.0.0.1:port with CRC framing; 0 = ephemeral *)
-  peers : Protocol.addr list;
-      (* tail these shards' journals for cache replication *)
-  replica_interval : float;
   jobs : int;
   cache_mb : int;
   cache_dir : string option;
@@ -23,9 +18,6 @@ type config = {
 let default_config ~socket_path =
   {
     socket_path;
-    tcp_port = None;
-    peers = [];
-    replica_interval = 0.25;
     jobs = 1;
     cache_mb = 64;
     cache_dir = None;
@@ -68,15 +60,11 @@ type state = {
   breaker : Resilience.Breaker.t;
   started : float;
   stop : bool Atomic.t;
-  tcp_actual : int option;  (* resolved TCP listen port *)
-  replica : Replica.t option;
-  (* live connection registry: [wait] nudges idle readers with a
-     receive-side shutdown, [kill] slams everything shut. Each fd is
-     closed exactly once, by its own handler thread. *)
+  (* live connection registry: the drain nudges idle readers with a
+     receive-side shutdown. Each fd is closed exactly once, by its own
+     handler thread. *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
   conns_mutex : Mutex.t;
-  conn_threads : Thread.t list ref;
-  threads_mutex : Mutex.t;
 }
 
 let pathset_of state ~topology ~paths g =
@@ -359,42 +347,6 @@ let stats_response state =
       ("jobs", Json.Num (float_of_int state.config.jobs));
       ( "persistent",
         Json.Bool (Option.is_some state.config.cache_dir) );
-      ( "transport",
-        Json.Obj
-          [
-            ("socket", Json.Str state.config.socket_path);
-            ( "tcp_port",
-              match state.tcp_actual with
-              | None -> Json.Null
-              | Some p -> Json.Num (float_of_int p) );
-          ] );
-      ( "replication",
-        match state.replica with
-        | None -> Json.Null
-        | Some r ->
-            let rs = Replica.stats r in
-            Json.Obj
-              [
-                ("records", Json.Num (float_of_int rs.Replica.applied));
-                ("seen", Json.Num (float_of_int rs.Replica.seen));
-                ( "peers",
-                  Json.List
-                    (List.map
-                       (fun (p : Replica.peer_stats) ->
-                         Json.Obj
-                           [
-                             ( "addr",
-                               Json.Str (Protocol.addr_to_string p.Replica.peer)
-                             );
-                             ( "solve_offset",
-                               Json.Num (float_of_int p.Replica.solve_offset) );
-                             ( "basis_offset",
-                               Json.Num (float_of_int p.Replica.basis_offset) );
-                             ( "errors",
-                               Json.Num (float_of_int p.Replica.errors) );
-                           ])
-                       rs.Replica.peers) );
-              ] );
       ("result_cache", cache_stats_json (Solve_cache.stats state.results));
       ("oracle_cache", cache_stats_json (Solve_cache.stats state.oracle));
       ( "basis_cache",
@@ -446,62 +398,11 @@ let stats_response state =
              | None -> 0)) );
     ]
 
-(* Cap per-tail chunks: replication progress stays incremental and one
-   request never pins a whole multi-megabyte journal in a frame. *)
-let tail_chunk_max = 256 * 1024
-
-let journal_tail_response state ~(journal : [ `Solve | `Basis ]) ~offset =
-  match state.config.cache_dir with
-  | None ->
-      Protocol.error ~code:"bad-request"
-        "journal tailing requires a persistent daemon (--cache-dir)"
-  | Some dir -> (
-      let path =
-        Filename.concat dir
-          (match journal with
-          | `Solve -> journal_file
-          | `Basis -> basis_journal_file)
-      in
-      let size =
-        match Unix.stat path with
-        | s -> s.Unix.st_size
-        | exception Unix.Unix_error _ -> 0
-      in
-      (* the file only ever grows under us (appends), so reading
-         [min chunk (size - offset)] bytes at [offset] is race-free;
-         offset past [size] means the caller is ahead of a journal that
-         was reset — report the smaller size so it re-tails from 0 *)
-      let len = if offset >= size then 0 else min tail_chunk_max (size - offset) in
-      let chunk =
-        if len = 0 then ""
-        else
-          match open_in_bin path with
-          | exception Sys_error _ -> ""
-          | ic ->
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () ->
-                  seek_in ic offset;
-                  really_input_string ic len)
-      in
-      Protocol.ok
-        [
-          ( "journal",
-            Json.Str (match journal with `Solve -> "solve" | `Basis -> "basis")
-          );
-          ("offset", Json.Num (float_of_int offset));
-          ("next", Json.Num (float_of_int (offset + String.length chunk)));
-          ("size", Json.Num (float_of_int size));
-          ("chunk_hex", Json.Str (Protocol.hex_encode chunk));
-        ])
-
 let handle state (req : Protocol.request) =
   match req with
   | Protocol.Ping -> Protocol.ok [ ("pong", Json.Bool true) ]
   | Protocol.Stats -> stats_response state
   | Protocol.Shutdown -> Protocol.ok [ ("stopping", Json.Bool true) ]
-  | Protocol.Journal_tail { journal; offset } ->
-      journal_tail_response state ~journal ~offset
   | Protocol.Evaluate { instance; demand; deadline } -> (
       let result =
         let* ev, g = build_evaluator state instance in
@@ -565,8 +466,6 @@ let handle state (req : Protocol.request) =
 (* connection + accept loops                                           *)
 (* ------------------------------------------------------------------ *)
 
-let trigger_stop state = Atomic.set state.stop true
-
 let register_conn state fd =
   Mutex.lock state.conns_mutex;
   Hashtbl.replace state.conns fd ();
@@ -577,36 +476,10 @@ let unregister_conn state fd =
   Hashtbl.remove state.conns fd;
   Mutex.unlock state.conns_mutex
 
-let handle_connection state framing fd =
-  let write payload =
-    match framing with
-    | `Plain -> Protocol.write_frame fd payload
-    | `Crc -> Protocol.write_frame_crc fd payload
-  in
+let handle_connection state fd =
   let rec loop () =
-    let frame =
-      match framing with
-      | `Plain -> (
-          match Protocol.read_frame fd with
-          | Ok v -> Ok v
-          | Error _ -> Error None (* historical behaviour: drop silently *))
-      | `Crc -> (
-          match Protocol.read_frame_crc fd with
-          | Ok v -> Ok v
-          | Error e -> Error (Some (Protocol.frame_error_to_string e)))
-    in
-    match frame with
-    | _ when Atomic.get state.stop ->
-        (* killed or stopping: a request that arrives now is dropped
-           cold, exactly as if the process had died *)
-        ()
-    | Ok None | Error None -> ()
-    | Error (Some msg) ->
-        (* garbage, torn or corrupt frame on the CRC transport: answer a
-           typed error, then drop the connection — a desynchronised byte
-           stream cannot be safely resynchronised *)
-        (try write (Json.to_string (Protocol.error ~code:"bad-frame" msg))
-         with Unix.Unix_error _ -> ())
+    match Protocol.read_frame fd with
+    | Ok None | Error _ -> ()
     | Ok (Some payload) ->
         let req =
           match Json.of_string payload with
@@ -621,47 +494,32 @@ let handle_connection state framing fd =
               with exn ->
                 Protocol.error ~code:"internal" (Printexc.to_string exn))
         in
-        if Resilience.Faults.fires "slow_peer" then Thread.delay 0.2;
-        write (Json.to_string response);
+        Protocol.write_frame fd (Json.to_string response);
         (match req with
-        | Ok Protocol.Shutdown -> trigger_stop state
+        | Ok Protocol.Shutdown -> Atomic.set state.stop true
         | _ -> loop ())
   in
   (try loop () with Unix.Unix_error _ -> ());
   unregister_conn state fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Poll-style accept so stop/kill need no self-connect tricks: the loop
-   re-checks the stop flag every 200ms and owns (closes) its listener
-   fd on the way out — the single-owner rule that makes [kill] safe to
-   call from another thread without fd-reuse races. *)
-let accept_loop state (listen_fd, framing) =
-  let rec go () =
-    if not (Atomic.get state.stop) then begin
-      (match Unix.select [ listen_fd ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept listen_fd with
-          | conn, _ ->
-              register_conn state conn;
-              let t = Thread.create (handle_connection state framing) conn in
-              Mutex.lock state.threads_mutex;
-              state.conn_threads := t :: !(state.conn_threads);
-              Mutex.unlock state.threads_mutex
-          | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error _ -> ());
-      go ()
-    end
-  in
-  go ();
-  try Unix.close listen_fd with Unix.Unix_error _ -> ()
-
-type handle = {
-  state : state;
-  mutable accept_threads : Thread.t list;
-}
-
-let tcp_port h = h.state.tcp_actual
+(* Poll-style accept: the loop re-checks the stop flag every 200ms, so
+   a "shutdown" request needs no self-connect to wake it. Returns the
+   handler threads it started. *)
+let accept_loop state listen_fd =
+  let threads = ref [] in
+  while not (Atomic.get state.stop) do
+    match Unix.select [ listen_fd ] [] [] 0.2 with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.accept listen_fd with
+        | conn, _ ->
+            register_conn state conn;
+            threads := Thread.create (handle_connection state) conn :: !threads
+        | exception Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error _ -> ()
+  done;
+  !threads
 
 let bind_unix path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -676,250 +534,100 @@ let bind_unix path =
       Error
         (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
 
-(* Loopback only: shards trust their peers (journal-tail is an open
-   read of the whole cache) and the protocol has no auth. A brief bind
-   retry absorbs the ≤200ms window in which a killed in-process shard
-   still owns the port. *)
-let bind_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.SO_REUSEADDR true with Unix.Unix_error _ -> ());
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-  let rec try_bind attempts =
-    match Unix.bind fd addr with
-    | () -> Ok ()
-    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when attempts > 0 ->
-        Thread.delay 0.1;
-        try_bind (attempts - 1)
-    | exception Unix.Unix_error (e, _, _) ->
-        Error
-          (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" port
-             (Unix.error_message e))
-  in
-  match try_bind 5 with
-  | Error e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error e
-  | Ok () -> (
-      match Unix.listen fd 64 with
-      | () ->
-          let actual =
-            match Unix.getsockname fd with
-            | Unix.ADDR_INET (_, p) -> p
-            | _ -> port
-          in
-          Ok (fd, actual)
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "cannot listen on 127.0.0.1:%d: %s" port
-               (Unix.error_message e)))
-
-let start config =
-  Resilience.Faults.arm_from_env ();
-  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-  | _ -> ()
-  | exception Invalid_argument _ -> ());
-  let cleanup_socket () =
-    try Unix.unlink config.socket_path with Unix.Unix_error _ -> ()
-  in
-  match bind_unix config.socket_path with
-  | Error _ as e -> e
-  | Ok unix_fd -> (
-      let tcp_listener =
-        match config.tcp_port with
-        | None -> Ok None
-        | Some p -> Result.map (fun r -> Some r) (bind_tcp p)
-      in
-      match tcp_listener with
-      | Error e ->
-          (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-          cleanup_socket ();
-          Error e
-      | Ok tcp -> (
-          let close_listeners () =
-            (try Unix.close unix_fd with Unix.Unix_error _ -> ());
-            (match tcp with
-            | Some (fd, _) -> (
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            | None -> ());
-            cleanup_socket ()
-          in
-          let results =
-            Solve_cache.create ~shards:config.shards
-              ~max_bytes:(config.cache_mb * 1024 * 1024)
-              ()
-          in
-          let bases =
-            Option.map (fun _ -> Basis_store.create ()) config.cache_dir
-          in
-          let journal_result =
-            match config.cache_dir with
-            | None -> Ok 0
-            | Some dir -> (
-                if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-                let solve_journal =
-                  Solve_cache.with_journal results
-                    ~path:(Filename.concat dir journal_file)
-                    ~encode:Json.to_string
-                    ~decode:(fun s -> Result.to_option (Json.of_string s))
-                in
-                match (solve_journal, bases) with
-                | (Error _ as e), _ | e, None -> e
-                | Ok n, Some bs -> (
-                    match
-                      Basis_store.with_journal bs
-                        ~path:(Filename.concat dir basis_journal_file)
-                    with
-                    | Ok _ -> Ok n
-                    | Error e -> Error ("basis journal: " ^ e)))
-          in
-          match journal_result with
-          | Error e ->
-              close_listeners ();
-              Error ("cache journal: " ^ e)
-          | Ok _replayed ->
-              let pool =
-                if config.jobs > 1 then
-                  Some
-                    (Engine.Pool.create
-                       ?heartbeat_timeout:config.heartbeat_timeout
-                       ~domains:(Engine.Jobs.clamp config.jobs)
-                       ())
-                else None
-              in
-              let sched =
-                Scheduler.create ~queue_limit:config.queue_limit
-                  ~batch_max:config.batch_max ?pool ~cache:results
-                  ~cost_bytes:(fun v -> String.length (Json.to_string v))
-                  ()
-              in
-              let replica =
-                if config.peers = [] then None
-                else
-                  Some
-                    (Replica.start ~interval:config.replica_interval
-                       ~peers:config.peers
-                       ~apply:(fun ~journal ~key ~value ->
-                         match journal with
-                         | `Solve -> (
-                             match Json.of_string value with
-                             | Error _ -> false
-                             | Ok v ->
-                                 if Solve_cache.mem results key then false
-                                 else begin
-                                   (* insert journals too (when a local
-                                      journal is attached), so this
-                                      shard's journal is in turn
-                                      self-sufficient for its tailers *)
-                                   Solve_cache.insert results key
-                                     ~cost_bytes:(String.length value) v;
-                                   true
-                                 end)
-                         | `Basis -> (
-                             match bases with
-                             | None -> false
-                             | Some bs ->
-                                 Basis_store.apply_serialized bs ~key ~value))
-                       ())
-              in
-              let state =
-                {
-                  config;
-                  pool;
-                  results;
-                  bases;
-                  oracle = Solve_cache.create ~shards:config.shards ();
-                  sched;
-                  pathsets = Hashtbl.create 8;
-                  pathsets_mutex = Mutex.create ();
-                  breaker = Resilience.Breaker.create ();
-                  started = Unix.gettimeofday ();
-                  stop = Atomic.make false;
-                  tcp_actual = Option.map snd tcp;
-                  replica;
-                  conns = Hashtbl.create 16;
-                  conns_mutex = Mutex.create ();
-                  conn_threads = ref [];
-                  threads_mutex = Mutex.create ();
-                }
-              in
-              let listeners =
-                (unix_fd, `Plain)
-                :: (match tcp with Some (fd, _) -> [ (fd, `Crc) ] | None -> [])
-              in
-              let accept_threads =
-                List.map (fun l -> Thread.create (accept_loop state) l) listeners
-              in
-              Ok { state; accept_threads }))
-
-let stop h = trigger_stop h.state
-
-(* Graceful drain: accept loops exit (closing their listeners), idle
-   connections are nudged off their blocking reads with a receive-side
-   shutdown (in-flight responses still flush), handlers are joined,
-   then the scheduler/caches/pool wind down and journals close. *)
-let wait h =
-  let state = h.state in
-  List.iter Thread.join h.accept_threads;
-  h.accept_threads <- [];
-  Atomic.set state.stop true;
+(* Graceful drain: idle connections are nudged off their blocking
+   reads with a receive-side shutdown (in-flight responses still
+   flush), handlers are joined, then the scheduler/caches/pool wind
+   down and journals close. *)
+let drain state threads =
   Mutex.lock state.conns_mutex;
   Hashtbl.iter
     (fun fd () ->
       try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     state.conns;
   Mutex.unlock state.conns_mutex;
-  Mutex.lock state.threads_mutex;
-  let to_join = !(state.conn_threads) in
-  Mutex.unlock state.threads_mutex;
-  List.iter Thread.join to_join;
-  Option.iter Replica.stop state.replica;
+  List.iter Thread.join threads;
   Scheduler.shutdown state.sched;
   Solve_cache.close state.results;
   Option.iter Basis_store.close state.bases;
-  (match state.pool with Some p -> Engine.Pool.shutdown p | None -> ());
-  (try Unix.unlink state.config.socket_path with Unix.Unix_error _ -> ())
-
-(* Dial-and-drop: wakes an accept loop out of its select so it observes
-   the stop flag now instead of at the next 200ms poll. *)
-let poke fd_domain sockaddr =
-  match Unix.socket fd_domain Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.connect fd sockaddr with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-
-(* Abrupt death for in-process chaos tests: the moral equivalent of
-   kill -9. Live connections are slammed shut mid-conversation, nothing
-   is drained, journals are NOT closed (their last record may be torn —
-   exactly what recovery must tolerate). The accept loops are woken and
-   joined, so when [kill] returns the listeners are closed and new
-   connections are refused — a killed shard must not keep answering
-   for a grace period no real SIGKILL would grant. The scheduler thread
-   and any engine-pool domains keep running until process exit; chaos
-   tests/benches use jobs=1 shards so only a ticker thread leaks. *)
-let kill h =
-  let state = h.state in
-  Atomic.set state.stop true;
-  Option.iter Replica.stop state.replica;
-  Mutex.lock state.conns_mutex;
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    state.conns;
-  Mutex.unlock state.conns_mutex;
-  poke Unix.PF_UNIX (Unix.ADDR_UNIX state.config.socket_path);
-  Option.iter
-    (fun port ->
-      poke Unix.PF_INET (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
-    state.tcp_actual;
-  List.iter Thread.join h.accept_threads;
-  h.accept_threads <- []
+  match state.pool with Some p -> Engine.Pool.shutdown p | None -> ()
 
 let run ?(ready = fun () -> ()) config =
-  match start config with
+  Resilience.Faults.arm_from_env ();
+  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
+  | _ -> ()
+  | exception Invalid_argument _ -> ());
+  match bind_unix config.socket_path with
   | Error _ as e -> e
-  | Ok h ->
-      ready ();
-      wait h;
-      Ok ()
+  | Ok listen_fd -> (
+      let close_listener () =
+        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+        try Unix.unlink config.socket_path with Unix.Unix_error _ -> ()
+      in
+      let results =
+        Solve_cache.create ~shards:config.shards
+          ~max_bytes:(config.cache_mb * 1024 * 1024)
+          ()
+      in
+      let bases = Option.map (fun _ -> Basis_store.create ()) config.cache_dir in
+      let journal_result =
+        match config.cache_dir with
+        | None -> Ok 0
+        | Some dir -> (
+            if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+            let solve_journal =
+              Solve_cache.with_journal results
+                ~path:(Filename.concat dir journal_file)
+                ~encode:Json.to_string
+                ~decode:(fun s -> Result.to_option (Json.of_string s))
+            in
+            match (solve_journal, bases) with
+            | (Error _ as e), _ | e, None -> e
+            | Ok n, Some bs -> (
+                match
+                  Basis_store.with_journal bs
+                    ~path:(Filename.concat dir basis_journal_file)
+                with
+                | Ok _ -> Ok n
+                | Error e -> Error ("basis journal: " ^ e)))
+      in
+      match journal_result with
+      | Error e ->
+          close_listener ();
+          Error ("cache journal: " ^ e)
+      | Ok _replayed ->
+          let pool =
+            if config.jobs > 1 then
+              Some
+                (Engine.Pool.create ?heartbeat_timeout:config.heartbeat_timeout
+                   ~domains:(Engine.Jobs.clamp config.jobs)
+                   ())
+            else None
+          in
+          let sched =
+            Scheduler.create ~queue_limit:config.queue_limit
+              ~batch_max:config.batch_max ?pool ~cache:results
+              ~cost_bytes:(fun v -> String.length (Json.to_string v))
+              ()
+          in
+          let state =
+            {
+              config;
+              pool;
+              results;
+              bases;
+              oracle = Solve_cache.create ~shards:config.shards ();
+              sched;
+              pathsets = Hashtbl.create 8;
+              pathsets_mutex = Mutex.create ();
+              breaker = Resilience.Breaker.create ();
+              started = Unix.gettimeofday ();
+              stop = Atomic.make false;
+              conns = Hashtbl.create 16;
+              conns_mutex = Mutex.create ();
+            }
+          in
+          ready ();
+          let threads = accept_loop state listen_fd in
+          close_listener ();
+          drain state threads;
+          Ok ())

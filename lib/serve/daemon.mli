@@ -30,15 +30,6 @@
 
 type config = {
   socket_path : string;
-  tcp_port : int option;
-      (** additionally listen on 127.0.0.1:port with CRC-checked frames
-          ({!Protocol.read_frame_crc}); [Some 0] picks an ephemeral
-          port, readable from {!tcp_port} after {!start} *)
-  peers : Protocol.addr list;
-      (** shards whose journals this daemon tails ({!Replica}): their
-          cached solves and basis snapshots stream into this daemon's
-          caches, so a fresh replacement warms from survivors *)
-  replica_interval : float;  (** peer poll period, seconds *)
   jobs : int;  (** engine pool domains; 1 = no pool *)
   cache_mb : int;  (** result-cache budget, MiB *)
   cache_dir : string option;
@@ -56,7 +47,7 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** jobs 1, 64 MiB, no persistence, queue 256, batch 16, 8 shards, no
-    watchdog, no TCP listener, no peers, replica interval 0.25s. *)
+    watchdog. *)
 
 val default_cache_dir : unit -> string
 (** [$XDG_CACHE_HOME/repro-serve] or [$HOME/.cache/repro-serve]. *)
@@ -71,47 +62,11 @@ val basis_journal_file : string
     writes, so sweeps warm the daemon's cold OPT solves and vice
     versa. *)
 
-(** {1 Lifecycle}
-
-    [run] is [start] + [wait] — the CLI's serve-forever loop. In-process
-    clusters (tests, benches) hold the {!handle}: [start] several
-    shards, [kill] one mid-run, [start] its replacement. *)
-
-type handle
-
-val start : config -> (handle, string) result
-(** Bind and accept (Unix socket always; TCP when [tcp_port] is set —
-    loopback only, CRC framing), replay/attach journals, start the
-    replica tailer when [peers] is non-empty. Returns as soon as the
-    listeners accept. Replaces a stale socket file at [socket_path];
-    retries an in-use TCP port briefly (a just-killed predecessor owns
-    it for up to 200ms). *)
-
-val tcp_port : handle -> int option
-(** The resolved TCP listen port (the actual one when the config said
-    0). *)
-
-val stop : handle -> unit
-(** Request a graceful stop (what a ["shutdown"] request does); returns
-    immediately, {!wait} completes the drain. *)
-
-val wait : handle -> unit
-(** Block until stopped (by {!stop} or a ["shutdown"] request), then
-    drain: in-flight responses flush, idle connections are closed, the
-    scheduler/caches/pool shut down, journals close, the socket file is
-    unlinked. *)
-
-val kill : handle -> unit
-(** Abrupt in-process death — the moral equivalent of [kill -9] for
-    chaos tests: live connections are reset mid-conversation, nothing
-    drains, journals stay open (their tail may be torn — recovery must
-    tolerate that). When [kill] returns the listeners are closed, so
-    new connections are refused immediately. Leaks the scheduler ticker
-    (and pool domains if [jobs > 1]) until process exit, so chaos
-    shards run [jobs = 1]. Never call {!wait} on a killed handle. *)
-
 val run : ?ready:(unit -> unit) -> config -> (unit, string) result
 (** Bind, listen, serve until a ["shutdown"] request arrives, then
-    drain and clean up (journal closed, socket unlinked). [ready] fires
-    once the socket is accepting — tests and the bench use it to know
-    when to connect. Replaces a stale socket file at [socket_path]. *)
+    drain and clean up: in-flight responses flush, idle connections
+    are closed, the scheduler/caches/pool shut down, journals close and
+    the socket file is unlinked. [ready] fires once the socket is
+    accepting — the CLI prints its ready line from it, tests and the
+    bench use it to know when to connect. Replaces a stale socket file
+    at [socket_path]. *)

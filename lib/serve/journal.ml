@@ -60,8 +60,6 @@ let read_be32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let crc32 s = crc32_update 0l s
-
 (* CRC of one record's integrity-protected region: key, length, value. *)
 let record_crc ~key ~value =
   let crc = crc32_update 0l (be64 key) in
@@ -78,11 +76,10 @@ let read_file path =
    [overhead] bytes of framing per record. *)
 let overhead = 16
 
-(* Scan complete records out of an in-memory buffer starting at [pos].
-   Stops before a structurally torn tail (which may just be a record
-   still in flight when the buffer was captured — the replica keeps it
-   pending until the next chunk arrives). CRC-corrupt but well-framed
-   records are consumed and counted as skipped. *)
+(* Apply [f] to the complete records of [contents] from [pos] on and
+   return [(applied, skipped)]. Stops before a structurally torn tail;
+   CRC-corrupt but well-framed records are consumed and counted as
+   skipped. *)
 let scan_records contents ~pos ~f =
   let n = String.length contents in
   let pos = ref pos in
@@ -118,7 +115,7 @@ let scan_records contents ~pos ~f =
       pos := !pos + overhead + len
     end
   done;
-  (!pos, !applied, !skipped)
+  (!applied, !skipped)
 
 let replay path ~f =
   if not (Sys.file_exists path) then Ok 0
@@ -134,7 +131,7 @@ let replay path ~f =
         else if String.sub contents 0 hl <> header then
           Error (path ^ ": unknown journal header/version")
         else begin
-          let _end_pos, count, skipped = scan_records contents ~pos:hl ~f in
+          let count, skipped = scan_records contents ~pos:hl ~f in
           if skipped > 0 then
             Log.warn (fun m ->
                 m "%s: %d corrupt record(s) skipped, %d replayed" path skipped

@@ -24,23 +24,6 @@ type t
 val header : string
 (** The exact version-2 header line ("REPRO-SERVE-JOURNAL v2\n"). *)
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE/zlib polynomial) of a whole string. Shared with the
-    TCP frame codec in {!Protocol} so both integrity checks agree. *)
-
-val overhead : int
-(** Framing bytes per record (key + length + CRC = 16). *)
-
-val scan_records :
-  string -> pos:int -> f:(key:int64 -> value:string -> unit) -> int * int * int
-(** [scan_records buf ~pos ~f] — apply [f] to every complete, CRC-valid
-    record in [buf] starting at byte offset [pos] (no header expected at
-    [pos]) and return [(end_pos, applied, skipped)]. [end_pos] is the
-    offset just past the last structurally complete record: a torn tail
-    — possibly a record still being appended — is left unconsumed so a
-    streaming caller can retry once more bytes arrive. CRC-corrupt but
-    well-framed records are consumed and counted in [skipped]. *)
-
 val replay :
   string -> f:(key:int64 -> value:string -> unit) -> (int, string) result
 (** [replay path ~f] — call [f] on every complete, CRC-valid record in

@@ -1,61 +1,5 @@
 let max_frame = 16 * 1024 * 1024
 
-(* ---- addresses ----------------------------------------------------- *)
-
-type addr = Unix_sock of string | Tcp of { host : string; port : int }
-
-let addr_of_string s =
-  let s = String.trim s in
-  if s = "" then Error "empty address"
-  else if String.contains s '/' then Ok (Unix_sock s)
-  else
-    match String.rindex_opt s ':' with
-    | None -> Ok (Unix_sock s)
-    | Some i -> (
-        let host = if i = 0 then "127.0.0.1" else String.sub s 0 i in
-        let port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 0 && p < 65536 -> Ok (Tcp { host; port = p })
-        | _ -> Error (Printf.sprintf "bad port in address %S" s))
-
-let addr_to_string = function
-  | Unix_sock path -> path
-  | Tcp { host; port } -> Printf.sprintf "%s:%d" host port
-
-let framing_of_addr = function Unix_sock _ -> `Plain | Tcp _ -> `Crc
-
-(* ---- hex ----------------------------------------------------------- *)
-
-let hex_encode s =
-  let hx = "0123456789abcdef" in
-  let b = Bytes.create (2 * String.length s) in
-  String.iteri
-    (fun i c ->
-      Bytes.set b (2 * i) hx.[Char.code c lsr 4];
-      Bytes.set b ((2 * i) + 1) hx.[Char.code c land 0xf])
-    s;
-  Bytes.unsafe_to_string b
-
-let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let nib c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let b = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (nib s.[2 * i], nib s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some (Bytes.unsafe_to_string b) else None
-
 (* ---- framing ------------------------------------------------------- *)
 
 let rec write_all fd bytes off len =
@@ -105,97 +49,6 @@ let read_frame fd =
         | `Ok payload -> Ok (Some payload)
         | `Eof _ -> Error "torn frame payload")
 
-(* ---- CRC-checked framing (TCP transport) --------------------------- *)
-
-(* Frame layout: 4-byte magic | 4-byte big-endian payload length |
-   payload | 4-byte big-endian CRC-32 of the payload. The magic guards
-   against a desynchronised or non-protocol peer before any allocation;
-   the CRC catches payload corruption the length prefix cannot. *)
-
-let frame_magic = "RPF2"
-
-type frame_error =
-  | Bad_magic
-  | Oversized of int
-  | Torn of string
-  | Crc_mismatch
-
-let frame_error_to_string = function
-  | Bad_magic -> "bad frame magic (not a repro-serve TCP peer?)"
-  | Oversized n ->
-      Printf.sprintf "frame of %d bytes exceeds limit %d" n max_frame
-  | Torn what -> Printf.sprintf "torn frame %s" what
-  | Crc_mismatch -> "frame CRC mismatch"
-
-let be32_bytes n =
-  let b = Bytes.create 4 in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
-  b
-
-let write_frame_crc fd payload =
-  let len = String.length payload in
-  let crc =
-    Int32.to_int (Int32.logand (Journal.crc32 payload) 0xFFFFFFFFl)
-    land 0xFFFFFFFF
-  in
-  let b = Bytes.create (12 + len) in
-  Bytes.blit_string frame_magic 0 b 0 4;
-  Bytes.blit (be32_bytes len) 0 b 4 4;
-  Bytes.blit_string payload 0 b 8 len;
-  Bytes.blit (be32_bytes crc) 0 b (8 + len) 4;
-  let total = 12 + len in
-  if Repro_resilience.Faults.fires "conn_reset" then begin
-    (* simulated peer reset mid-frame: ship a prefix, then slam the
-       connection shut so the reader sees a torn frame + ECONNRESET *)
-    write_all fd b 0 (min total 6);
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    raise (Unix.Unix_error (Unix.ECONNRESET, "write", "fault:conn_reset"))
-  end
-  else if Repro_resilience.Faults.fires "partial_write" && total > 1 then begin
-    (* split the frame across two delayed writes: exercises the
-       reader's partial-read reassembly without corrupting anything *)
-    let cut = 1 + (total / 3) in
-    write_all fd b 0 cut;
-    Thread.delay 0.005;
-    write_all fd b cut (total - cut)
-  end
-  else write_all fd b 0 total
-
-let read_frame_crc fd =
-  match read_exact fd 8 with
-  | `Eof 0 -> Ok None (* clean close between frames *)
-  | `Eof _ -> Error (Torn "header")
-  | `Ok hdr ->
-      if String.sub hdr 0 4 <> frame_magic then Error Bad_magic
-      else
-        let len =
-          (Char.code hdr.[4] lsl 24)
-          lor (Char.code hdr.[5] lsl 16)
-          lor (Char.code hdr.[6] lsl 8)
-          lor Char.code hdr.[7]
-        in
-        if len > max_frame then Error (Oversized len)
-        else (
-          match read_exact fd (len + 4) with
-          | `Eof _ -> Error (Torn "payload")
-          | `Ok body ->
-              let payload = String.sub body 0 len in
-              let stored =
-                (Char.code body.[len] lsl 24)
-                lor (Char.code body.[len + 1] lsl 16)
-                lor (Char.code body.[len + 2] lsl 8)
-                lor Char.code body.[len + 3]
-              in
-              let computed =
-                Int32.to_int (Int32.logand (Journal.crc32 payload) 0xFFFFFFFFl)
-                land 0xFFFFFFFF
-              in
-              if stored <> computed then Error Crc_mismatch
-              else Ok (Some payload))
-
 (* ---- request types ------------------------------------------------- *)
 
 type demand_spec =
@@ -232,7 +85,6 @@ type request =
   | Stats
   | Ping
   | Shutdown
-  | Journal_tail of { journal : [ `Solve | `Basis ]; offset : int }
 
 (* ---- parsing ------------------------------------------------------- *)
 
@@ -321,17 +173,6 @@ let request_of_json j =
   | Some "ping" -> Ok Ping
   | Some "stats" -> Ok Stats
   | Some "shutdown" -> Ok Shutdown
-  | Some "journal-tail" ->
-      let* journal =
-        match Json.obj_str "journal" j with
-        | Some "solve" -> Ok `Solve
-        | Some "basis" -> Ok `Basis
-        | Some k -> Error (Printf.sprintf "unknown journal %S" k)
-        | None -> Error "journal-tail: journal missing"
-      in
-      let offset = Option.value ~default:0 (Json.obj_int "offset" j) in
-      if offset < 0 then Error "journal-tail: offset < 0"
-      else Ok (Journal_tail { journal; offset })
   | Some "evaluate" ->
       let* instance = instance_of_json j in
       let* demand =
@@ -416,15 +257,6 @@ let request_to_json = function
   | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
   | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
   | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
-  | Journal_tail { journal; offset } ->
-      Json.Obj
-        [
-          ("op", Json.Str "journal-tail");
-          ( "journal",
-            Json.Str (match journal with `Solve -> "solve" | `Basis -> "basis")
-          );
-          ("offset", Json.Num (float_of_int offset));
-        ]
   | Evaluate { instance; demand; deadline } ->
       Json.Obj
         ((("op", Json.Str "evaluate") :: instance_fields instance)
@@ -440,24 +272,6 @@ let request_to_json = function
           ]
         @ deadline_fields deadline
         @ (if degrade then [ ("degrade", Json.Bool true) ] else []))
-
-(* ---- routing ------------------------------------------------------- *)
-
-(* The ring key for a request: FNV-1a over the canonical JSON of the
-   query with per-call knobs (deadline, degrade) stripped, so the same
-   question under a different time budget lands on the same shard's
-   cache. Control-plane ops have no affinity and return [None]. *)
-let routing_key req =
-  let fingerprint r =
-    let acc = Fingerprint.feed_string Fingerprint.empty "repro-serve-route-v1" in
-    Some
-      (Fingerprint.finish
-         (Fingerprint.feed_string acc (Json.to_string (request_to_json r))))
-  in
-  match req with
-  | Ping | Stats | Shutdown | Journal_tail _ -> None
-  | Evaluate e -> fingerprint (Evaluate { e with deadline = None })
-  | Find_gap f -> fingerprint (Find_gap { f with deadline = None; degrade = false })
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
 

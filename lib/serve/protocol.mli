@@ -3,18 +3,13 @@
     Transport: length-prefixed JSON — each message is a 4-byte
     big-endian payload length followed by that many bytes of UTF-8
     JSON. One request, one response, in order, per connection; a
-    connection handles any number of requests. Over a Unix domain
-    socket the plain frame above is used; over TCP every frame
-    additionally carries a 4-byte magic and a trailing CRC-32 of the
-    payload ({!write_frame_crc}/{!read_frame_crc}) so a desynchronised
-    or corrupting peer is detected instead of misparsed.
+    connection handles any number of requests.
 
     Requests are objects dispatched on ["op"]:
 
     - [{"op":"ping"}]
     - [{"op":"stats"}]
     - [{"op":"shutdown"}]
-    - [{"op":"journal-tail", "journal":"solve"|"basis", "offset":N}]
     - [{"op":"evaluate", "topology":NAME, "paths":K, "heuristic":H,
         "demands":D, "deadline":SECONDS?}]
     - [{"op":"find-gap", "topology":NAME, "paths":K, "heuristic":H,
@@ -43,21 +38,7 @@
     ["deadline-exceeded"], ["degraded"] (circuit breaker shedding),
     ["internal"]. *)
 
-(** {1 Addresses} *)
-
-type addr =
-  | Unix_sock of string  (** path of a Unix domain socket *)
-  | Tcp of { host : string; port : int }
-
-val addr_of_string : string -> (addr, string) result
-(** ["host:port"] or [":port"] (host defaults to 127.0.0.1) parses as
-    {!Tcp}; anything containing a ['/'], or without a [':'], is a
-    socket path. *)
-
-val addr_to_string : addr -> string
-val framing_of_addr : addr -> [ `Plain | `Crc ]
-(** Unix sockets speak the historical plain frames; TCP speaks the
-    CRC-checked frames. *)
+(** {1 Framing} *)
 
 val max_frame : int
 (** Refuse frames larger than this (16 MiB) instead of allocating. *)
@@ -68,40 +49,6 @@ val read_frame : Unix.file_descr -> (string option, string) result
 
 val write_frame : Unix.file_descr -> string -> unit
 (** @raise Unix.Unix_error on a closed peer. *)
-
-(** {1 CRC-checked framing (TCP transport)}
-
-    Frame layout: 4-byte magic ["RPF2"] | 4-byte big-endian payload
-    length | payload | 4-byte big-endian CRC-32 (IEEE/zlib, the journal
-    polynomial) of the payload. *)
-
-type frame_error =
-  | Bad_magic  (** first 4 bytes are not ["RPF2"] — drop the peer *)
-  | Oversized of int  (** declared length beyond {!max_frame} *)
-  | Torn of string  (** EOF mid-header or mid-payload *)
-  | Crc_mismatch  (** well-framed but corrupt payload *)
-
-val frame_error_to_string : frame_error -> string
-
-val write_frame_crc : Unix.file_descr -> string -> unit
-(** Fault points (see {!Repro_resilience.Faults}): ["conn_reset"]
-    ships a frame prefix then shuts the socket down and raises
-    [ECONNRESET]; ["partial_write"] splits the frame across two delayed
-    writes (reassembly must still succeed).
-    @raise Unix.Unix_error on a closed peer. *)
-
-val read_frame_crc : Unix.file_descr -> (string option, frame_error) result
-(** [Ok None] on clean EOF at a frame boundary. Never raises on garbage
-    input and never blocks past the bytes the peer actually sent
-    (partial frames end in [Torn] at EOF). *)
-
-(** {1 Hex}
-
-    Lowercase hex codec used to carry binary journal chunks inside JSON
-    strings (the wire JSON is byte-transparent only for text). *)
-
-val hex_encode : string -> string
-val hex_decode : string -> string option
 
 (** {1 Requests} *)
 
@@ -141,23 +88,10 @@ type request =
   | Stats
   | Ping
   | Shutdown
-  | Journal_tail of { journal : [ `Solve | `Basis ]; offset : int }
-      (** replication: stream a chunk of this shard's journal starting
-          at byte [offset]. Reply carries ["chunk_hex"], ["next"] (the
-          offset to ask for next) and ["size"] (current journal size —
-          smaller than [offset] means the journal was reset and the
-          tailer must restart from 0). *)
 
 val request_of_json : Json.t -> (request, string) result
 val request_to_json : request -> Json.t
 (** Inverse of {!request_of_json} — what the client sends. *)
-
-val routing_key : request -> Fingerprint.t option
-(** Consistent-hash ring key: FNV-1a over the canonical JSON of the
-    query with per-call knobs (deadline, degrade) stripped, so the same
-    question under a different time budget reuses the same shard's
-    cache. [None] for control-plane ops (ping/stats/shutdown/
-    journal-tail), which have no placement affinity. *)
 
 (** {1 Response helpers} *)
 

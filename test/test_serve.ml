@@ -866,7 +866,7 @@ let test_daemon_persistent_cache () =
             (Option.bind (Json.member "cached" r) Json.bool)))
 
 (* ------------------------------------------------------------------ *)
-(* CRC framing                                                         *)
+(* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let with_socketpair f =
@@ -886,11 +886,9 @@ let be32 n =
   Bytes.set b 3 (Char.chr (n land 0xff));
   Bytes.to_string b
 
-(* Hand-rolled frame: independent of write_frame_crc, so an encoder bug
+(* Hand-rolled frame: independent of write_frame, so an encoder bug
    can't cancel out a matching decoder bug. *)
-let crc_frame payload =
-  let crc = Int32.to_int (S.Journal.crc32 payload) land 0xffffffff in
-  "RPF2" ^ be32 (String.length payload) ^ payload ^ be32 crc
+let frame payload = be32 (String.length payload) ^ payload
 
 let write_all fd s =
   let rec go off =
@@ -899,24 +897,24 @@ let write_all fd s =
   in
   go 0
 
-let test_frame_crc_roundtrip () =
+let test_frame_roundtrip () =
   with_socketpair (fun a b ->
       let payloads = [ "hello"; ""; String.make 70_000 'x'; "{\"op\":\"ping\"}" ] in
       let writer = Thread.create (fun () ->
-          List.iter (S.Protocol.write_frame_crc a) payloads;
+          List.iter (S.Protocol.write_frame a) payloads;
           Unix.close a)
           ()
       in
       List.iter
         (fun expected ->
-          match S.Protocol.read_frame_crc b with
+          match S.Protocol.read_frame b with
           | Ok (Some p) ->
               Alcotest.(check bool)
                 "payload intact" true (String.equal p expected)
           | Ok None -> Alcotest.fail "premature EOF"
-          | Error e -> Alcotest.failf "read: %s" (S.Protocol.frame_error_to_string e))
+          | Error e -> Alcotest.failf "read: %s" e)
         payloads;
-      (match S.Protocol.read_frame_crc b with
+      (match S.Protocol.read_frame b with
       | Ok None -> ()
       | _ -> Alcotest.fail "clean close must read as EOF");
       Thread.join writer)
@@ -925,28 +923,29 @@ let read_one bytes =
   with_socketpair (fun a b ->
       write_all a bytes;
       Unix.close a;
-      S.Protocol.read_frame_crc b)
+      S.Protocol.read_frame b)
 
-let test_frame_crc_errors () =
-  (match read_one ("XXXX" ^ be32 5 ^ "hello") with
-  | Error S.Protocol.Bad_magic -> ()
-  | r ->
-      Alcotest.failf "bad magic: %s"
-        (match r with
-        | Ok _ -> "accepted"
-        | Error e -> S.Protocol.frame_error_to_string e));
-  (match read_one ("RPF2" ^ be32 (S.Protocol.max_frame + 1)) with
-  | Error (S.Protocol.Oversized _) -> ()
-  | _ -> Alcotest.fail "oversized length accepted");
-  (let frame = crc_frame "payload" in
-   match read_one (String.sub frame 0 (String.length frame - 3)) with
-   | Error (S.Protocol.Torn _) -> ()
-   | _ -> Alcotest.fail "truncated frame not reported torn");
-  (let frame = Bytes.of_string (crc_frame "payload") in
-   Bytes.set frame 9 (Char.chr (Char.code (Bytes.get frame 9) lxor 0x40));
-   match read_one (Bytes.to_string frame) with
-   | Error S.Protocol.Crc_mismatch -> ()
-   | _ -> Alcotest.fail "flipped payload byte not caught by CRC")
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_frame_errors () =
+  (* the length is refused from the header alone: no payload follows,
+     so a decoder that allocated and read first would report "torn" *)
+  (match read_one (be32 (S.Protocol.max_frame + 1)) with
+  | Error e when contains ~sub:"exceeds limit" e -> ()
+  | Error e -> Alcotest.failf "oversized length: wrong error %S" e
+  | Ok _ -> Alcotest.fail "oversized length accepted");
+  (match read_one "\x00\x00" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "torn header not reported");
+  let f = frame "payload" in
+  match read_one (String.sub f 0 (String.length f - 3)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "torn payload not reported"
 
 (* Arbitrary bytes at the decoder: any outcome is fine except an
    exception or a hang (the writer side is closed, so a correct decoder
@@ -964,133 +963,441 @@ let qcheck_frame_truncation =
   QCheck.Test.make ~count:100 ~name:"truncated frames read as torn"
     QCheck.(pair (string_of Gen.char) (float_bound_inclusive 1.))
     (fun (payload, frac) ->
-      let frame = crc_frame payload in
-      let cut = int_of_float (frac *. float_of_int (String.length frame)) in
-      let cut = max 0 (min (String.length frame) cut) in
-      match read_one (String.sub frame 0 cut) with
+      let f = frame payload in
+      let cut = int_of_float (frac *. float_of_int (String.length f)) in
+      let cut = max 0 (min (String.length f) cut) in
+      match read_one (String.sub f 0 cut) with
       | Ok None -> cut = 0
-      | Ok (Some p) -> cut = String.length frame && String.equal p payload
-      | Error (S.Protocol.Torn _) -> cut > 0 && cut < String.length frame
-      | Error _ -> false)
+      | Ok (Some p) -> cut = String.length f && String.equal p payload
+      | Error _ -> cut > 0 && cut < String.length f)
+
+(* A peer that trickles its frames out one byte per write: every read
+   on the decoder side is short, and the payloads still arrive whole. *)
+let test_frame_short_reads () =
+  with_socketpair (fun a b ->
+      let payloads = [ "{\"op\":\"ping\"}"; String.make 300 'y' ] in
+      let writer =
+        Thread.create
+          (fun () ->
+            String.iter
+              (fun ch ->
+                write_all a (String.make 1 ch);
+                Thread.yield ())
+              (String.concat "" (List.map frame payloads));
+            Unix.close a)
+          ()
+      in
+      List.iter
+        (fun expected ->
+          match S.Protocol.read_frame b with
+          | Ok (Some p) ->
+              Alcotest.(check bool) "payload intact" true (String.equal p expected)
+          | Ok None -> Alcotest.fail "premature EOF"
+          | Error e -> Alcotest.failf "read: %s" e)
+        payloads;
+      Thread.join writer)
+
+(* Several frames in one write: the decoder takes exactly one frame per
+   call and never reads into the next. *)
+let test_frame_back_to_back () =
+  let payloads = [ "first"; ""; "third" ] in
+  let rec drain acc b =
+    match S.Protocol.read_frame b with
+    | Ok (Some p) -> drain (p :: acc) b
+    | Ok None -> List.rev acc
+    | Error e -> Alcotest.failf "read: %s" e
+  in
+  with_socketpair (fun a b ->
+      write_all a (String.concat "" (List.map frame payloads));
+      Unix.close a;
+      Alcotest.(check (list string)) "frames in order" payloads (drain [] b))
 
 (* ------------------------------------------------------------------ *)
-(* TCP transport                                                       *)
+(* Request codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_tcp_daemon suffix f =
-  let config =
+let sample_requests =
+  let pop =
     {
-      (S.Daemon.default_config ~socket_path:(temp_path suffix)) with
-      S.Daemon.tcp_port = Some 0;
+      S.Protocol.topology = "fig1";
+      paths = 3;
+      heuristic = S.Protocol.Pop { parts = 2; instances = 4; seed = 9 };
     }
   in
-  match S.Daemon.start config with
-  | Error e -> Alcotest.failf "start: %s" e
-  | Ok h ->
-      let port =
-        match S.Daemon.tcp_port h with
-        | Some p -> p
-        | None -> Alcotest.fail "daemon reports no TCP port"
+  [
+    S.Protocol.Ping;
+    S.Protocol.Stats;
+    S.Protocol.Shutdown;
+    S.Protocol.Evaluate
+      {
+        instance = b4_dp_instance;
+        demand = S.Protocol.Gen { gen = `Bimodal; seed = 4 };
+        deadline = Some 2.5;
+      };
+    S.Protocol.Evaluate
+      {
+        instance = pop;
+        demand = S.Protocol.Csv "0,1,3.5\n1,2,0.1\n";
+        deadline = None;
+      };
+    S.Protocol.Evaluate
+      {
+        instance = pop;
+        demand = S.Protocol.Entries [ (0, 1, 1.5); (2, 0, 1e-3) ];
+        deadline = None;
+      };
+    S.Protocol.Find_gap
+      {
+        instance = b4_dp_instance;
+        method_ = S.Protocol.Portfolio;
+        time = 0.75;
+        seed = 12;
+        deadline = Some 3.;
+        degrade = true;
+      };
+    S.Protocol.Find_gap
+      {
+        instance = pop;
+        method_ = S.Protocol.Annealing;
+        time = 10.;
+        seed = 1;
+        deadline = None;
+        degrade = false;
+      };
+  ]
+
+(* What the client sends is what the daemon parses, through the wire
+   text and back. *)
+let test_request_roundtrip () =
+  List.iter
+    (fun req ->
+      let text = Json.to_string (S.Protocol.request_to_json req) in
+      match Result.bind (Json.of_string text) S.Protocol.request_of_json with
+      | Ok back ->
+          Alcotest.(check bool) (Printf.sprintf "round trip of %s" text) true
+            (back = req)
+      | Error e -> Alcotest.failf "%s: %s" text e)
+    sample_requests
+
+let test_request_rejects () =
+  let instance = {|"topology":"b4","heuristic":{"kind":"dp"}|} in
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Error e -> Alcotest.failf "test JSON %s: %s" text e
+      | Ok j -> (
+          match S.Protocol.request_of_json j with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "accepted %s" text))
+    [
+      {|[]|};
+      {|{"op":"reboot"}|};
+      {|{"op":"evaluate","heuristic":{"kind":"dp"},"demands":{"gen":"uniform"}}|};
+      {|{"op":"evaluate","topology":"b4","demands":{"gen":"uniform"}}|};
+      {|{"op":"evaluate","topology":"b4","heuristic":{"kind":"ffd"},"demands":{"gen":"uniform"}}|};
+      {|{"op":"evaluate","topology":"b4","heuristic":{"kind":"pop","parts":0},"demands":{"gen":"uniform"}}|};
+      {|{"op":"evaluate","topology":"b4","paths":0,"heuristic":{"kind":"dp"},"demands":{"gen":"uniform"}}|};
+      "{\"op\":\"evaluate\"," ^ instance ^ "}";
+      "{\"op\":\"evaluate\"," ^ instance ^ {|,"demands":{"gen":"zipf"}}|};
+      "{\"op\":\"evaluate\"," ^ instance ^ {|,"demands":{"entries":[[0,1]]}}|};
+      "{\"op\":\"evaluate\"," ^ instance ^ {|,"demands":{}}|};
+      "{\"op\":\"evaluate\"," ^ instance ^ {|,"demands":{"gen":"uniform"},"deadline":0}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ "}";
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"guess"}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"sweep","time":0}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"sweep","degrade":true}|};
+    ]
+
+(* Garbage, an oversized length header and a torn frame, each on its
+   own connection to the daemon's socket: every such connection ends
+   without a reply, and the daemon keeps answering fresh clients. *)
+let test_daemon_bad_frames () =
+  let socket_path = temp_path "d4.sock" in
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      List.iter
+        (fun (what, bytes) ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX sock);
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+              write_all fd bytes;
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              match Unix.read fd (Bytes.create 64) 0 64 with
+              | 0 -> ()
+              | n -> Alcotest.failf "%s: daemon replied %d bytes" what n
+              | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
+                ->
+                  ()
+              | exception Unix.Unix_error (e, _, _) ->
+                  Alcotest.failf "%s: connection did not end: %s" what
+                    (Unix.error_message e));
+          match
+            S.Client.with_connection sock (fun c ->
+                expect_ok "ping" (S.Client.call c S.Protocol.Ping))
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: daemon dead: %s" what e)
+        [
+          ("garbage", "this is not a frame at all");
+          ("oversized", be32 (S.Protocol.max_frame + 77));
+          ("torn", String.sub (frame "{\"op\":\"ping\"}") 0 9);
+        ])
+
+(* Identical evaluate queries from four clients at once cost one solve:
+   the rest are served from the in-flight solve or the cache, with the
+   same payload. *)
+let test_daemon_concurrent_once () =
+  let socket_path = temp_path "d5.sock" in
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      let query () =
+        Result.join
+          (S.Client.with_connection sock (fun c ->
+               S.Client.call c
+                 (S.Protocol.Evaluate
+                    {
+                      instance = b4_dp_instance;
+                      demand = S.Protocol.Gen { gen = `Bimodal; seed = 6 };
+                      deadline = None;
+                    })))
       in
-      Fun.protect
-        ~finally:(fun () ->
-          S.Daemon.stop h;
-          S.Daemon.wait h)
-        (fun () -> f port)
+      let replies = Array.make 4 (Error "no reply") in
+      let threads =
+        List.init 4 (fun i -> Thread.create (fun () -> replies.(i) <- query ()) ())
+      in
+      List.iter Thread.join threads;
+      let opts =
+        Array.to_list
+          (Array.map (fun r -> Json.obj_num "opt" (expect_ok "evaluate" r)) replies)
+      in
+      Alcotest.(check bool)
+        "one answer" true
+        (List.for_all (fun o -> o = List.hd opts && o <> None) opts);
+      match
+        S.Client.with_connection sock (fun c ->
+            expect_ok "stats" (S.Client.call c S.Protocol.Stats))
+      with
+      | Error e -> Alcotest.failf "stats: %s" e
+      | Ok stats ->
+          let sched k = Option.bind (Json.member "scheduler" stats) (Json.obj_int k) in
+          Alcotest.(check (option int)) "one solve" (Some 1) (sched "executed");
+          Alcotest.(check (option int)) "four submitted" (Some 4) (sched "submitted");
+          Alcotest.(check (option int))
+            "three served without solving" (Some 3)
+            (match (sched "cache_hits", sched "dedup_hits") with
+            | Some c, Some d -> Some (c + d)
+            | _ -> None);
+          Alcotest.(check bool)
+            "oracle cache reported" true
+            (Option.is_some
+               (Option.bind (Json.member "oracle_cache" stats) (Json.obj_int "misses"))))
 
-let connect_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-  fd
+(* A leftover file at the socket path does not stop the daemon, and a
+   clean shutdown removes the socket again. *)
+let test_daemon_stale_socket () =
+  let socket_path = temp_path "d6.sock" in
+  Out_channel.with_open_bin socket_path (fun oc -> output_string oc "stale");
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      match
+        S.Client.with_connection sock (fun c ->
+            expect_ok "ping" (S.Client.call c S.Protocol.Ping))
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "ping: %s" e);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
 
-let assert_tcp_alive port =
-  match S.Client.connect_addr_typed (S.Protocol.Tcp { host = "127.0.0.1"; port }) with
-  | Error e -> Alcotest.failf "daemon dead: %s" (S.Client.error_to_string e)
-  | Ok c ->
+(* Shutdown drains a connection that sits idle between requests: the
+   daemon exits, and that client's next request fails on the transport. *)
+let test_daemon_drains_idle () =
+  let socket_path = temp_path "d7.sock" in
+  let idle = ref None in
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      match S.Client.connect_typed sock with
+      | Error e -> Alcotest.failf "connect: %s" (S.Client.error_to_string e)
+      | Ok c ->
+          idle := Some c;
+          ignore (expect_ok "ping" (S.Client.call c S.Protocol.Ping)));
+  match !idle with
+  | None -> Alcotest.fail "no idle connection"
+  | Some c ->
       Fun.protect
         ~finally:(fun () -> S.Client.close c)
         (fun () ->
           match S.Client.call_typed c S.Protocol.Ping with
-          | Ok _ -> ()
+          | Error (S.Client.Io _) -> ()
+          | Ok _ -> Alcotest.fail "idle connection outlived the daemon"
           | Error e ->
-              Alcotest.failf "daemon not answering: %s"
+              Alcotest.failf "unexpected error class: %s"
                 (S.Client.error_to_string e))
 
-let test_tcp_roundtrip () =
-  with_tcp_daemon "tcp1.sock" (fun port ->
-      match S.Client.connect_addr_typed (S.Protocol.Tcp { host = "127.0.0.1"; port }) with
+(* ------------------------------------------------------------------ *)
+(* Client                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-connection stand-in for the daemon: [serve] runs on the
+   accepted connection in its own thread. Waits at most 5s for the
+   connection, so a client that never dials cannot hang the test. *)
+let with_fake_daemon suffix serve f =
+  let path = temp_path suffix in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let server =
+    Thread.create
+      (fun () ->
+        match Unix.select [ lfd ] [] [] 5.0 with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept lfd in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () -> try serve fd with Unix.Unix_error _ -> ()))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Unix.close lfd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      match S.Client.connect_typed path with
+      | Error e -> Alcotest.failf "connect: %s" (S.Client.error_to_string e)
+      | Ok c -> Fun.protect ~finally:(fun () -> S.Client.close c) (fun () -> f c))
+
+(* Nothing at the path and a socket file nobody listens on both read as
+   the retryable [Connect_refused], before and after retries. *)
+let test_client_refused () =
+  let check_refused what = function
+    | Error (S.Client.Connect_refused _ as e) ->
+        Alcotest.(check int) (what ^ ": exit code") 3 (S.Client.exit_code e)
+    | Error e -> Alcotest.failf "%s: %s" what (S.Client.error_to_string e)
+    | Ok c ->
+        S.Client.close c;
+        Alcotest.failf "%s: connected" what
+  in
+  let missing = temp_path "nobody.sock" in
+  (try Unix.unlink missing with Unix.Unix_error _ -> ());
+  check_refused "missing" (S.Client.connect_typed missing);
+  let dead = temp_path "dead.sock" in
+  (try Unix.unlink dead with Unix.Unix_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX dead);
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () -> Unix.unlink dead)
+    (fun () ->
+      check_refused "no listener" (S.Client.connect_typed dead);
+      check_refused "after retries"
+        (S.Client.connect_retry
+           ~policy:
+             {
+               Repro_resilience.Retry.retries = 2;
+               base = 0.01;
+               factor = 2.;
+               max_delay = 0.05;
+               jitter = 0.;
+             }
+           dead))
+
+(* A daemon that comes up after the client starts dialling is reached
+   by the retry loop. *)
+let test_client_retry_late_daemon () =
+  let socket_path = temp_path "late.sock" in
+  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let outcome = ref (Error "daemon never ran") in
+  let daemon =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.3;
+        outcome := S.Daemon.run (S.Daemon.default_config ~socket_path))
+      ()
+  in
+  let policy =
+    {
+      Repro_resilience.Retry.retries = 8;
+      base = 0.05;
+      factor = 2.;
+      max_delay = 0.5;
+      jitter = 0.;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (S.Client.with_connection socket_path (fun c ->
+             S.Client.call c S.Protocol.Shutdown));
+      Thread.join daemon;
+      match !outcome with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "daemon exited with: %s" e)
+    (fun () ->
+      match S.Client.connect_retry ~policy socket_path with
       | Error e -> Alcotest.failf "connect: %s" (S.Client.error_to_string e)
       | Ok c ->
           Fun.protect
             ~finally:(fun () -> S.Client.close c)
             (fun () ->
-              let r =
-                expect_ok "evaluate over tcp"
-                  (Result.map_error S.Client.error_to_string
-                     (S.Client.call_typed c
-                        (S.Protocol.Evaluate
-                           {
-                             instance = b4_dp_instance;
-                             demand = S.Protocol.Gen { gen = `Gravity; seed = 11 };
-                             deadline = None;
-                           })))
-              in
-              Alcotest.(check (option bool))
-                "computed" (Some false)
-                (Option.bind (Json.member "cached" r) Json.bool)))
+              match S.Client.call_typed c S.Protocol.Ping with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "ping: %s" (S.Client.error_to_string e)))
 
-(* Garbage at the daemon's TCP decoder: a typed bad-frame error (or a
-   plain drop), and the daemon stays alive for the next client. *)
-let test_tcp_garbage_rejected () =
-  with_tcp_daemon "tcp2.sock" (fun port ->
+(* Each reply class maps to its own error and CLI exit code: bytes that
+   are not JSON and JSON without "ok" are malformed, {"ok":false} is an
+   application error (deadline-exceeded has its own code), and a daemon
+   that hangs up mid-request is a transport failure. *)
+let test_client_reply_classes () =
+  let replies =
+    [
+      "not json";
+      {|{"pong":true}|};
+      {|{"ok":false,"error":{"code":"deadline-exceeded","message":"late"}}|};
+      {|{"ok":false,"error":{"code":"overloaded","message":"full"}}|};
+    ]
+  in
+  with_fake_daemon "fake1.sock"
+    (fun fd ->
       List.iter
-        (fun junk ->
-          let fd = connect_tcp port in
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              write_all fd junk;
-              (match S.Protocol.read_frame_crc fd with
-              | Ok (Some reply) -> (
-                  match Json.of_string reply with
-                  | Ok j ->
-                      Alcotest.(check (option string))
-                        "typed bad-frame error" (Some "bad-frame")
-                        (Option.bind (Json.member "error" j)
-                           (Json.obj_str "code"))
-                  | Error e -> Alcotest.failf "unparseable error reply: %s" e)
-              | Ok None -> () (* dropped: acceptable *)
-              | Error _ -> () (* reset mid-reply: acceptable *));
-              assert_tcp_alive port))
-        [
-          "this is not a frame at all";
-          "RPF2" ^ be32 (S.Protocol.max_frame + 77);
-          "\x00\x00\x00\x04ping" (* plain frame on the CRC listener *);
-        ])
+        (fun reply ->
+          match S.Protocol.read_frame fd with
+          | Ok (Some _) -> S.Protocol.write_frame fd reply
+          | _ -> ())
+        replies;
+      (* take one more request and hang up without answering *)
+      ignore (S.Protocol.read_frame fd))
+    (fun c ->
+      let outcomes =
+        List.init (List.length replies + 1) (fun _ ->
+            S.Client.call_typed c S.Protocol.Ping)
+      in
+      Alcotest.(check (list int))
+        "exit codes" [ 5; 5; 4; 2; 1 ]
+        (List.map
+           (function Ok _ -> 0 | Error e -> S.Client.exit_code e)
+           outcomes);
+      match List.nth outcomes 3 with
+      | Error (S.Client.App_error { code = "overloaded"; message = "full" }) -> ()
+      | _ -> Alcotest.fail "application error not carried through")
 
-(* A client dying mid-frame (torn write) must not wedge or kill the
-   daemon. *)
-let test_tcp_torn_frame_dropped () =
-  with_tcp_daemon "tcp3.sock" (fun port ->
-      let frame = crc_frame "{\"op\":\"ping\"}" in
-      let fd = connect_tcp port in
-      write_all fd (String.sub frame 0 (String.length frame - 5));
-      Unix.close fd;
-      assert_tcp_alive port)
-
-(* With the partial_write fault armed, every frame is shipped as two
-   delayed writes — short reads on both sides of the conversation. *)
-let test_tcp_partial_write_fault () =
-  Repro_resilience.Faults.arm ~seed:3
-    ~points:
-      [ ("partial_write", { Repro_resilience.Faults.prob = 1.; limit = None }) ];
-  Fun.protect ~finally:Repro_resilience.Faults.disarm (fun () ->
-      with_tcp_daemon "tcp4.sock" (fun port ->
-          assert_tcp_alive port;
+(* A daemon that accepts and never answers surfaces as [Io] once the
+   socket timeout passes, instead of blocking the client forever. *)
+let test_client_timeout () =
+  with_fake_daemon "fake2.sock"
+    (fun fd ->
+      (* swallow the request, then wait for the client to hang up *)
+      ignore (S.Protocol.read_frame fd);
+      ignore (S.Protocol.read_frame fd))
+    (fun c ->
+      S.Client.set_timeouts c 0.2;
+      let t0 = Unix.gettimeofday () in
+      match S.Client.call_typed c S.Protocol.Ping with
+      | Error (S.Client.Io _) ->
           Alcotest.(check bool)
-            "fault actually fired" true
-            (Repro_resilience.Faults.fired "partial_write" > 0)))
+            "gave up promptly" true
+            (Unix.gettimeofday () -. t0 < 4.)
+      | Ok _ -> Alcotest.fail "reply from a silent daemon"
+      | Error e -> Alcotest.failf "wrong class: %s" (S.Client.error_to_string e))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1159,23 +1466,41 @@ let () =
             test_daemon_find_gap_and_unknown_topology;
           Alcotest.test_case "journal survives restart" `Quick
             test_daemon_persistent_cache;
+          Alcotest.test_case "bad frames dropped, daemon lives" `Quick
+            test_daemon_bad_frames;
+          Alcotest.test_case "identical concurrent queries solve once" `Quick
+            test_daemon_concurrent_once;
+          Alcotest.test_case "stale socket replaced, removed on exit" `Quick
+            test_daemon_stale_socket;
+          Alcotest.test_case "shutdown drains idle connections" `Quick
+            test_daemon_drains_idle;
         ] );
       ( "framing",
         [
-          Alcotest.test_case "crc frame roundtrip" `Quick
-            test_frame_crc_roundtrip;
-          Alcotest.test_case "typed frame errors" `Quick test_frame_crc_errors;
+          Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
+          Alcotest.test_case "frame errors" `Quick test_frame_errors;
           QCheck_alcotest.to_alcotest qcheck_frame_garbage;
           QCheck_alcotest.to_alcotest qcheck_frame_truncation;
+          Alcotest.test_case "short reads reassembled" `Quick
+            test_frame_short_reads;
+          Alcotest.test_case "back-to-back frames split" `Quick
+            test_frame_back_to_back;
         ] );
-      ( "tcp",
+      ( "protocol",
         [
-          Alcotest.test_case "evaluate over tcp" `Quick test_tcp_roundtrip;
-          Alcotest.test_case "garbage stream rejected typed" `Quick
-            test_tcp_garbage_rejected;
-          Alcotest.test_case "torn frame dropped, daemon lives" `Quick
-            test_tcp_torn_frame_dropped;
-          Alcotest.test_case "partial-write fault tolerated" `Quick
-            test_tcp_partial_write_fault;
+          Alcotest.test_case "request json round trip" `Quick
+            test_request_roundtrip;
+          Alcotest.test_case "malformed requests rejected" `Quick
+            test_request_rejects;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "refused connect typed" `Quick test_client_refused;
+          Alcotest.test_case "retry reaches a late daemon" `Quick
+            test_client_retry_late_daemon;
+          Alcotest.test_case "reply classes and exit codes" `Quick
+            test_client_reply_classes;
+          Alcotest.test_case "silent daemon times out" `Quick
+            test_client_timeout;
         ] );
     ]

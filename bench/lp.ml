@@ -224,7 +224,7 @@ type par_row = {
 
 (* Fixed node budget: every configuration explores the same number of
    tree nodes of the same MILP, and the wall clock of the run is the
-   metric. This makes serial and parallel rows identical by
+   metric. This makes the rows of every job count identical by
    construction in everything but time — the DP row runs the raw tree
    (no primal heuristic), where neither schedule finds an incumbent at
    this depth, so outcome ("no incumbent") and objective agree exactly;
@@ -232,12 +232,8 @@ type par_row = {
    heuristic per node) and every schedule finds the same best gap at
    the root relaxation, so outcome and objective agree there too.
 
-   The speedup on a single core is pure warm-start locality: the serial
-   best-bound loop re-walks the dual simplex across the frontier at
-   every node (~100s of iterations on the b4-sized LPs), while parallel
-   workers plunge — consecutive relaxations differ by one bound change
-   and re-solve in a handful of iterations, with parent bases shipped
-   by value to stolen nodes. *)
+   Every job count runs the same plunging search, so [speedup] against
+   the jobs=1 row measures cores and steal overhead only. *)
 let solve_budget ~jobs ~node_limit ?primal_heuristic gp =
   time (fun () ->
       Branch_bound.solve
@@ -468,7 +464,7 @@ let write_json path roots warm par_rows cut_rows =
     warm.problem warm.warm_nodes warm.cold_nodes warm.warm_iters
     warm.cold_iters warm.warm_s warm.cold_s warm.hits warm.misses
     warm.refactors;
-  (* serial reference for each problem: the jobs=1 row *)
+  (* reference for each problem: the jobs=1 row *)
   let serial_of problem =
     List.find
       (fun r -> r.par_jobs = 1 && String.equal r.par_problem problem)
@@ -522,7 +518,7 @@ let run () =
   Common.subsection "warm-started vs cold-restarted branch-and-bound";
   let warm = bench_warm_cold () in
   Common.subsection
-    "parallel tree search: fixed node budget, serial vs jobs in {2, 4}";
+    "tree search: fixed node budget, jobs=1 vs jobs in {2, 4}";
   let par_rows = bench_parallel_tree () in
   Common.subsection
     "cutting planes: relaxation pipeline off vs on, fixed node budget";

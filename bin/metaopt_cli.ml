@@ -84,11 +84,13 @@ let lp_backend_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel engine (default: \\$(b,REPRO_JOBS) or \
-     1). With N > 1, oracle scoring fans out over a domain pool \
-     (bit-identical results), the MILP branch-and-bound searches its tree \
-     with N work-stealing workers (same outcome and objective within the \
-     gap tolerance; node order may differ), and the portfolio method \
-     races its strategies concurrently."
+     1). The MILP branch-and-bound runs the same plunging tree search at \
+     every N; with N = 1 it runs on the calling domain and is \
+     deterministic. With N > 1, oracle scoring fans out over a domain \
+     pool (bit-identical results), the tree is searched by N \
+     work-stealing workers (same outcome and objective within the gap \
+     tolerance; node order may differ), and the portfolio method races \
+     its strategies concurrently."
   in
   Arg.(
     value

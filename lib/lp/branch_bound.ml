@@ -19,7 +19,7 @@ type options = {
   deadline : Repro_resilience.Deadline.t option;
   (* relaxation pipeline (cut separation, node bound tightening,
      pseudo-cost branching); [Relaxation.disabled] — the default —
-     keeps the historical one-LP-per-node loop bit-identical *)
+     solves exactly one LP per node *)
   cuts : Relaxation.config;
 }
 
@@ -61,16 +61,6 @@ type result = {
   tree : tree_stats;
 }
 
-type node = {
-  (* full list of bound overrides along the path from the root; later
-     entries shadow earlier ones for the same variable *)
-  overrides : (int * float * float) list;
-  depth : int;
-  (* the branch that created this node — (var, went up, fractional
-     distance, parent bound) — fuels pseudo-cost learning *)
-  origin : (int * bool * float * float) option;
-}
-
 let src = Logs.Src.create "repro.branch_bound" ~doc:"MILP branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -78,9 +68,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let now () = Unix.gettimeofday ()
 
 (* Apply a node's override list to a backend, given the set of overrides
-   already in effect from the previously solved node. Shared verbatim by
-   the serial loop and every parallel worker so both walk the tree with
-   identical bound sequences. *)
+   already in effect from the previously solved node. *)
 let apply_overrides simplex applied ~root_lb ~root_ub overrides =
   let targets = Hashtbl.create 16 in
   List.iter (fun (v, lo, hi) -> Hashtbl.replace targets v (lo, hi)) overrides;
@@ -146,10 +134,9 @@ let mip_gap_of ~objective ~bound =
    bound-tightening pass, re-solving (dual simplex, basis kept warm by
    the backends' append-row machinery) after every change. [None] means
    interval propagation emptied a box — the node is infeasible. With
-   the pipeline disabled ([mgr = None]) this is exactly one LP solve,
-   bit-identical to the historical loop. Node-local tightenings are
-   registered in [applied] so the next node's [apply_overrides] resets
-   them to root bounds. *)
+   the pipeline disabled ([mgr = None]) this is exactly one LP solve.
+   Node-local tightenings are registered in [applied] so the next
+   node's [apply_overrides] resets them to root bounds. *)
 let refine_node ~opts ~mgr ~int_vars ~sos ~applied ~prunable ~on_cut ~bt be
     ~depth =
   let solve_lp () =
@@ -206,353 +193,36 @@ let refine_node ~opts ~mgr ~int_vars ~sos ~applied ~prunable ~on_cut ~bt be
       go ()
 
 (* ------------------------------------------------------------------ *)
-(* Serial tree search (the jobs = 1 path, bit-exact)                   *)
+(* Tree search                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type state = {
-  model : Model.t;
-  maximize : bool;
-  opts : options;
-  simplex : Backend.t;
-  root_lb : float array;
-  root_ub : float array;
-  int_vars : int array;
-  sos : int array array;
-  heap : node Heap.t;
-  applied : (int, unit) Hashtbl.t;
-  mgr : Relaxation.t option;
-  pc : Relaxation.pseudocost;
-  bt : int ref; (* node bound-tightenings applied, for stats *)
-  on_cut : (Cut_pool.cut -> unit) option;
-  mutable incumbent : float option;
-  mutable incumbent_x : float array option;
-  mutable trace : (float * float) list;
-  mutable nodes : int;
-  mutable truncated : bool; (* a node was dropped without a valid bound *)
-  mutable last_progress_t : float;
-  start : float;
-}
-
-(* All comparisons happen in the model's direction: [better a b] means "a is
-   a strictly better objective than b". *)
-let better st a b = if st.maximize then a > b else a < b
-
-let worst st = if st.maximize then neg_infinity else infinity
-
-let apply_node st node =
-  apply_overrides st.simplex st.applied ~root_lb:st.root_lb
-    ~root_ub:st.root_ub node.overrides
-
-let record_incumbent st ?x value on_incumbent =
-  let improved =
-    match st.incumbent with
-    | None -> true
-    | Some v -> better st value v
-  in
-  if improved then begin
-    let t = now () -. st.start in
-    let meaningful =
-      match st.incumbent with
-      | None -> true
-      | Some v ->
-          Float.abs (value -. v) /. Float.max 1. (Float.abs v)
-          >= st.opts.stall_improvement
-    in
-    st.incumbent <- Some value;
-    (match x with
-    | Some x -> st.incumbent_x <- Some (Array.copy x)
-    | None -> st.incumbent_x <- None);
-    st.trace <- (t, value) :: st.trace;
-    if meaningful then st.last_progress_t <- now ();
-    if st.opts.log_progress then
-      Log.info (fun m -> m "incumbent %.6g at %.2fs (%d nodes)" value t st.nodes);
-    on_incumbent value
-  end
-
-let fix_to_zero _st v = (v, 0., 0.)
-
-let solve_serial ~options ?primal_heuristic ?on_cut ~on_incumbent model =
-  let dir, _ = Model.objective model in
-  let maximize = dir = Model.Maximize in
-  let sf = Standard_form.of_model model in
-  let simplex = Backend.create ?kind:options.backend sf in
-  let n = Model.num_vars model in
-  let int_vars = Model.integer_vars model in
-  let sos = Model.sos1_groups model in
-  let mgr =
-    if options.cuts.Relaxation.enabled then
-      Some (Relaxation.create options.cuts ~sf ~int_vars ~sos)
-    else None
-  in
-  let st =
-    {
-      model;
-      maximize;
-      opts = options;
-      simplex;
-      root_lb = Array.init n (Model.var_lb model);
-      root_ub = Array.init n (Model.var_ub model);
-      int_vars;
-      sos;
-      heap = Heap.create ();
-      applied = Hashtbl.create 64;
-      mgr;
-      pc = Relaxation.pseudocost n;
-      bt = ref 0;
-      on_cut;
-      incumbent = None;
-      incumbent_x = None;
-      trace = [];
-      nodes = 0;
-      truncated = false;
-      last_progress_t = now ();
-      start = now ();
-    }
-  in
-  let prio bound = if maximize then bound else -.bound in
-  let finish outcome ~best_bound =
-    let objective = Option.value st.incumbent ~default:Float.nan in
-    {
-      outcome;
-      objective;
-      best_bound;
-      mip_gap =
-        (match outcome with
-        | Optimal -> 0.
-        | _ -> mip_gap_of ~objective ~bound:best_bound);
-      primal = st.incumbent_x;
-      nodes = st.nodes;
-      simplex_iterations = Backend.total_iterations simplex;
-      lp_stats =
-        (let s = Backend.stats simplex in
-         { s with Simplex.bounds_tightened = !(st.bt) });
-      elapsed = now () -. st.start;
-      incumbent_trace = List.rev st.trace;
-      tree = serial_tree_stats;
-    }
-  in
-  (* prune test: can this bound still beat the incumbent by more than tol? *)
-  let prunable bound =
-    match st.incumbent with
-    | None -> false
-    | Some inc ->
-        let margin = st.opts.gap_tol *. Float.max 1. (Float.abs inc) in
-        if maximize then bound <= inc +. margin else bound >= inc -. margin
-  in
-  let open_bound () =
-    (* best bound among open nodes, in model direction *)
-    if Heap.is_empty st.heap then None
-    else Some (if maximize then Heap.max_priority st.heap else -.(Heap.max_priority st.heap))
-  in
-  Heap.push st.heap (prio (if maximize then infinity else neg_infinity))
-    { overrides = []; depth = 0; origin = None };
-  let stop_outcome = ref None in
-  let best_root_bound = ref (if maximize then infinity else neg_infinity) in
-  (try
-     while not (Heap.is_empty st.heap) do
-       let elapsed = now () -. st.start in
-       let deadline_hit =
-         match st.opts.deadline with
-         | Some d -> Repro_resilience.Deadline.expired d
-         | None -> false
-       in
-       if elapsed > st.opts.time_limit || st.opts.interrupt () || deadline_hit
-       then begin
-         stop_outcome := Some (if st.incumbent = None then No_incumbent else Feasible);
-         raise Exit
-       end;
-       if st.nodes >= st.opts.node_limit then begin
-         stop_outcome := Some (if st.incumbent = None then No_incumbent else Feasible);
-         raise Exit
-       end;
-       if
-         st.incumbent <> None
-         && now () -. st.last_progress_t > st.opts.stall_time
-       then begin
-         stop_outcome := Some Feasible;
-         raise Exit
-       end;
-       let node_prio, node = Heap.pop st.heap in
-       let parent_bound = if maximize then node_prio else -.node_prio in
-       if prunable parent_bound then ()
-       else begin
-         st.nodes <- st.nodes + 1;
-         (match st.opts.deadline with
-         | Some d -> Repro_resilience.Deadline.charge_node d
-         | None -> ());
-         apply_node st node;
-         (* [warm_start:false] inside the pipeline forces a cold
-            from-scratch solve per node; only useful for measuring what
-            the basis reuse buys *)
-         match
-           refine_node ~opts:st.opts ~mgr:st.mgr ~int_vars:st.int_vars
-             ~sos:st.sos ~applied:st.applied ~prunable ~on_cut:st.on_cut
-             ~bt:st.bt simplex ~depth:node.depth
-         with
-         | None -> () (* tightening emptied a box: node infeasible *)
-         | Some sol ->
-         (match sol.status with
-         | Simplex.Infeasible -> ()
-         | Simplex.Unbounded ->
-             if node.depth = 0 then begin
-               stop_outcome := Some Unbounded;
-               raise Exit
-             end
-             else st.truncated <- true
-         | Simplex.Iteration_limit ->
-             (match st.opts.deadline with
-             | Some d when Repro_resilience.Deadline.expired d ->
-                 (* the LP was cut off by the budget, not by hardness:
-                    re-queue the node so the final bound still covers its
-                    subtree — the expired deadline stops the loop before
-                    it can be popped again *)
-                 Heap.push st.heap node_prio node
-             | _ -> ());
-             st.truncated <- true
-         | Simplex.Optimal ->
-             let bound = sol.objective in
-             if node.depth = 0 then best_root_bound := bound;
-             (* pseudo-cost learning: how much did the branch that
-                created this node actually degrade the parent bound? *)
-             (match (node.origin, st.mgr) with
-             | Some (v, up, dist, pbound), Some _ ->
-                 let delta =
-                   if st.maximize then pbound -. bound else bound -. pbound
-                 in
-                 Relaxation.pc_record st.pc v ~up ~delta ~dist
-             | _ -> ());
-             if not (prunable bound) then begin
-               match
-                 find_violation ~int_tol:st.opts.int_tol
-                   ~sos_tol:st.opts.sos_tol ~int_vars:st.int_vars ~sos:st.sos
-                   sol.primal
-               with
-               | No_violation ->
-                   record_incumbent st ~x:sol.primal bound on_incumbent
-               | viol ->
-                   (match primal_heuristic with
-                   | None -> ()
-                   | Some h -> (
-                       match h sol.primal with
-                       | None -> ()
-                       | Some (value, Some x) ->
-                           record_incumbent st ~x value on_incumbent
-                       | Some (value, None) ->
-                           record_incumbent st value on_incumbent));
-                   let mk ?origin extra =
-                     {
-                       overrides = node.overrides @ extra;
-                       depth = node.depth + 1;
-                       origin;
-                     }
-                   in
-                   let legacy viol =
-                     match viol with
-                     | No_violation -> assert false
-                     | Fractional (v, value) ->
-                         let lo = Backend.get_lb simplex v
-                         and hi = Backend.get_ub simplex v in
-                         let down = Float.floor value
-                         and up = Float.ceil value in
-                         if down >= lo -. 1e-9 then
-                           Heap.push st.heap (prio bound)
-                             (mk [ (v, lo, down) ]);
-                         if up <= hi +. 1e-9 then
-                           Heap.push st.heap (prio bound) (mk [ (v, up, hi) ])
-                     | Sos_violated (group, arg_max) ->
-                         (* child A: the largest member is zero;
-                            child B: every other member is zero *)
-                         let biggest = group.(arg_max) in
-                         Heap.push st.heap (prio bound)
-                           (mk [ fix_to_zero st biggest ]);
-                         let others =
-                           group |> Array.to_list
-                           |> List.filteri (fun i _ -> i <> arg_max)
-                           |> List.map (fix_to_zero st)
-                         in
-                         Heap.push st.heap (prio bound) (mk others)
-                   in
-                   (match st.mgr with
-                   | Some mgrv -> (
-                       (* pseudo-cost / reliability selection over every
-                          fractional integer; SOS branching only when no
-                          integer is fractional *)
-                       match
-                         Relaxation.select_branch mgrv st.pc simplex
-                           ?deadline:st.opts.deadline
-                           ~probes:st.opts.warm_start ~maximize:st.maximize
-                           ~parent_bound:bound ~int_tol:st.opts.int_tol
-                           sol.primal
-                       with
-                       | Some (v, value, _prefer_down) ->
-                           let lo = Backend.get_lb simplex v
-                           and hi = Backend.get_ub simplex v in
-                           let down = Float.floor value
-                           and up = Float.ceil value in
-                           if down >= lo -. 1e-9 then
-                             Heap.push st.heap (prio bound)
-                               (mk
-                                  ~origin:(v, false, value -. down, bound)
-                                  [ (v, lo, down) ]);
-                           if up <= hi +. 1e-9 then
-                             Heap.push st.heap (prio bound)
-                               (mk
-                                  ~origin:(v, true, up -. value, bound)
-                                  [ (v, up, hi) ])
-                       | None -> legacy viol)
-                   | None -> legacy viol)
-             end)
-       end
-     done
-   with Exit -> ());
-  match !stop_outcome with
-  | Some outcome ->
-      (* the optimum is bounded by max(incumbent, best open subtree): open
-         nodes already worse than the incumbent may still be queued, so
-         the open bound alone can sit below the incumbent *)
-      let cover b =
-        match st.incumbent with
-        | Some inc -> if maximize then Float.max b inc else Float.min b inc
-        | None -> b
-      in
-      let best_bound =
-        match open_bound () with
-        | Some b -> cover b
-        | None -> Option.value st.incumbent ~default:!best_root_bound
-      in
-      finish outcome ~best_bound
-  | None ->
-      (* heap exhausted *)
-      if st.incumbent = None then
-        if st.truncated then finish No_incumbent ~best_bound:!best_root_bound
-        else finish Infeasible ~best_bound:(worst st)
-      else if st.truncated then
-        finish Feasible ~best_bound:!best_root_bound
-      else
-        finish Optimal ~best_bound:(Option.get st.incumbent)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel tree search (jobs > 1)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A parallel node additionally carries its parent's optimal basis so a
-   worker that steals it can warm-start without having explored the
-   parent itself. Snapshots are immutable and shared by reference
-   between both children of a node (workers only read them). *)
-type pnode = {
-  p_overrides : (int * float * float) list;
-  p_depth : int;
-  p_basis : Simplex.basis_snapshot option;
+(* An open node. With more than one worker it also carries its parent's
+   optimal basis so a worker that steals it can warm-start without
+   having explored the parent itself. Snapshots are immutable and
+   shared by reference between both children of a node (workers only
+   read them). *)
+type node = {
+  (* full list of bound overrides along the path from the root; later
+     entries shadow earlier ones for the same variable *)
+  overrides : (int * float * float) list;
+  depth : int;
+  basis : Simplex.basis_snapshot option;
   (* cut-pool generation the basis snapshot was taken at: a thief
-     replays the pool up to [p_gen] (or pads the snapshot if it is
+     replays the pool up to [gen] (or pads the snapshot if it is
      already past it) before installing, so the snapshot's row layout
      always matches the backend it lands in *)
-  p_gen : int;
-  p_origin : (int * bool * float * float) option;
+  gen : int;
+  (* the branch that created this node — (var, went up, fractional
+     distance, parent bound) — fuels pseudo-cost learning *)
+  origin : (int * bool * float * float) option;
 }
 
-let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
-    ~on_incumbent model =
+let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
+    ?(on_incumbent = fun _ -> ()) model =
+  let jobs = Engine.Jobs.clamp options.jobs in
+  (* a snapshot is only ever installed on a stolen node, and a lone
+     worker never steals *)
+  let snapshots = options.warm_start && jobs > 1 in
   let dir, _ = Model.objective model in
   let maximize = dir = Model.Maximize in
   let sf = Standard_form.of_model model in
@@ -571,7 +241,7 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
   let start = now () in
   let prio bound = if maximize then bound else -.bound in
   let unprio p = if maximize then p else -.p in
-  let npool : pnode Node_pool.t = Node_pool.create ~workers:jobs in
+  let npool : node Node_pool.t = Node_pool.create ~workers:jobs in
   (* shared incumbent: the score is the objective in prio direction, so
      the store's strict monotonicity is exactly "strictly better in the
      model direction"; the payload is the (optional) primal assignment *)
@@ -639,9 +309,9 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
     Mutex.unlock mu;
     Node_pool.stop npool
   in
-  (* limits are evaluated against the shared counters by every worker on
-     every loop iteration, mirroring the serial per-node checks; the node
-     limit can therefore overshoot by at most [jobs - 1] in-flight nodes *)
+  (* limits are evaluated against the shared counters once per node,
+     before it is expanded; with several workers the node limit can
+     therefore overshoot by at most [jobs - 1] in-flight nodes *)
   let check_limits () =
     let elapsed = now () -. start in
     let deadline_hit =
@@ -649,12 +319,12 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
       | Some d -> Repro_resilience.Deadline.expired d
       | None -> false
     in
-    if elapsed > options.time_limit || options.interrupt () || deadline_hit
+    if
+      elapsed > options.time_limit
+      || options.interrupt ()
+      || deadline_hit
+      || Atomic.get nodes >= options.node_limit
     then begin
-      set_stop (if incumbent_value () = None then No_incumbent else Feasible);
-      true
-    end
-    else if Atomic.get nodes >= options.node_limit then begin
       set_stop (if incumbent_value () = None then No_incumbent else Feasible);
       true
     end
@@ -680,11 +350,14 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
        child continues from the basis already loaded in [be], the
        cheapest possible dual restart. The in-flight slot is re-tagged
        via [Node_pool.continue_with] so termination stays exact and
-       [best_open] sees the dive; exactly one [finish] ends the chain. *)
+       [best_open] sees the dive; exactly one [finish] or [abandon] ends
+       the chain. *)
     let rec process nd stolen =
       Repro_resilience.Faults.inject "worker_death";
       if Atomic.get failure <> None then Node_pool.finish npool ~worker:wid
-      else if check_limits () then Node_pool.finish npool ~worker:wid
+      else if check_limits () then
+        (* the node was never expanded: keep its bound in [best_open] *)
+        Node_pool.abandon npool ~worker:wid
       else begin
         Atomic.incr nodes;
         (match options.deadline with
@@ -695,19 +368,19 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
            instead of warm-starting from whatever this worker solved
            last *)
         if stolen && options.warm_start then (
-          match nd.p_basis with
+          match nd.basis with
           | Some snap ->
               let snap =
                 match mgr with
-                | Some m -> Relaxation.sync_snapshot m be ~gen:nd.p_gen snap
+                | Some m -> Relaxation.sync_snapshot m be ~gen:nd.gen snap
                 | None -> snap
               in
               ignore (Backend.install_basis be snap : bool)
           | None -> ());
-        apply_overrides be applied ~root_lb ~root_ub nd.p_overrides;
+        apply_overrides be applied ~root_lb ~root_ub nd.overrides;
         match
           refine_node ~opts:options ~mgr ~int_vars ~sos ~applied ~prunable
-            ~on_cut ~bt be ~depth:nd.p_depth
+            ~on_cut ~bt be ~depth:nd.depth
         with
         | None ->
             (* tightening emptied a box: node infeasible *)
@@ -716,7 +389,7 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
         match sol.Simplex.status with
         | Simplex.Infeasible -> Node_pool.finish npool ~worker:wid
         | Simplex.Unbounded ->
-            if nd.p_depth = 0 then set_stop Unbounded
+            if nd.depth = 0 then set_stop Unbounded
             else Atomic.set truncated true;
             Node_pool.finish npool ~worker:wid
         | Simplex.Iteration_limit ->
@@ -729,12 +402,12 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
             | _ -> Node_pool.finish npool ~worker:wid)
         | Simplex.Optimal ->
             let bound = sol.Simplex.objective in
-            if nd.p_depth = 0 then begin
+            if nd.depth = 0 then begin
               Mutex.lock mu;
               best_root_bound := bound;
               Mutex.unlock mu
             end;
-            (match (nd.p_origin, mgr) with
+            (match (nd.origin, mgr) with
             | Some (v, up, dist, pbound), Some _ ->
                 let delta =
                   if maximize then pbound -. bound else bound -. pbound
@@ -759,7 +432,7 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
                       | Some (value, Some x) -> record ~x value
                       | Some (value, None) -> record value));
                   let snap =
-                    if options.warm_start then Some (Backend.snapshot_basis be)
+                    if snapshots then Some (Backend.snapshot_basis be)
                     else None
                   in
                   let gen =
@@ -767,11 +440,11 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
                   in
                   let mk ?origin extra =
                     {
-                      p_overrides = nd.p_overrides @ extra;
-                      p_depth = nd.p_depth + 1;
-                      p_basis = snap;
-                      p_gen = gen;
-                      p_origin = origin;
+                      overrides = nd.overrides @ extra;
+                      depth = nd.depth + 1;
+                      basis = snap;
+                      gen;
+                      origin;
                     }
                   in
                   let plunge child =
@@ -852,9 +525,10 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
             end)
       end
     in
+    (* limits are polled in [process] only; once they stop the search
+       [take] returns [None] *)
     let rec loop () =
       if Atomic.get failure <> None then ()
-      else if check_limits () then ()
       else
         match Node_pool.take npool ~worker:wid with
         | None -> ()
@@ -881,8 +555,7 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
   in
   Node_pool.push npool ~worker:0
     ~prio:(prio (if maximize then infinity else neg_infinity))
-    { p_overrides = []; p_depth = 0; p_basis = None; p_gen = 0;
-      p_origin = None };
+    { overrides = []; depth = 0; basis = None; gen = 0; origin = None };
   let run_workers pool =
     let futs =
       List.init jobs (fun wid -> Engine.Pool.submit pool (fun () -> worker wid))
@@ -890,9 +563,11 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
     List.map Engine.Pool.await futs
   in
   let results =
-    match pool with
-    | Some pool -> run_workers pool
-    | None -> Engine.Pool.with_pool ~domains:jobs run_workers
+    if jobs = 1 then [ worker 0 ]
+    else
+      match pool with
+      | Some pool -> run_workers pool
+      | None -> Engine.Pool.with_pool ~domains:jobs run_workers
   in
   (match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -960,19 +635,6 @@ let solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut
       else if Atomic.get truncated then
         finish Feasible ~best_bound:(truncated_bound ())
       else finish Optimal ~best_bound:objective
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
-    ?(on_incumbent = fun _ -> ()) model =
-  let jobs = Engine.Jobs.clamp options.jobs in
-  if jobs <= 1 then
-    solve_serial ~options ?primal_heuristic ?on_cut ~on_incumbent model
-  else
-    solve_parallel ~jobs ?pool ~options ?primal_heuristic ?on_cut ~on_incumbent
-      model
 
 let pp_outcome ppf = function
   | Optimal -> Fmt.string ppf "optimal"

@@ -12,20 +12,24 @@
     incremental progress stalls below a configurable threshold within a
     time window — the paper's 0.5%-per-window timeout policy.
 
-    With [jobs > 1] the tree is searched by a team of domains over a
-    shared-memory work-stealing node pool ({!Node_pool}): each worker
-    dives its own subtree best-bound-first (cheap dual-simplex warm
-    restarts from its previous node), steals the globally best open node
-    when it runs dry, and shares one atomic incumbent so a bound found by
-    any worker prunes everyone's subtrees. [jobs = 1] takes the original
-    serial code path and is bit-identical to it. *)
+    The tree is searched by [jobs] workers over a shared-memory
+    work-stealing node pool ({!Node_pool}). Each worker {e plunges}: it
+    keeps one child of every node it expands in hand and heaps the
+    sibling, so consecutive relaxations differ by one bound change and
+    the dual simplex restarts in a few pivots. When a dive ends it takes
+    the globally best open node, stealing from another worker's heap if
+    that is where it lives. All workers share one incumbent, so a bound
+    found by any of them prunes every subtree. At [jobs = 1] the single
+    worker runs inline on the calling domain and the search is
+    deterministic: the same model and options give the same result bit
+    for bit. *)
 
 type options = {
   time_limit : float;  (** wall-clock seconds; [infinity] disables *)
   node_limit : int;
-      (** with [jobs > 1] the limit is checked against a shared counter
-          before each node is expanded, so the search can overshoot it by
-          at most [jobs - 1] in-flight nodes *)
+      (** checked against a shared counter before each node is
+          expanded. It is exact at [jobs = 1]; with [jobs > 1] the search
+          can overshoot it by at most [jobs - 1] in-flight nodes *)
   gap_tol : float;  (** stop when relative MIP gap falls below this *)
   stall_time : float;
       (** stop when no relative improvement >= [stall_improvement] has been
@@ -52,11 +56,11 @@ type options = {
       (** worker domains for the tree search, clamped to
           [1 .. ]{!Repro_engine.Jobs.max_jobs}. Defaults to
           {!Repro_engine.Jobs.default}[ ()] (the [REPRO_JOBS] environment
-          variable, else 1). [1] = the serial search, bit-identical to
-          the pre-parallel implementation; [> 1] = the same tree policy
-          run by that many workers — same outcome and, within [gap_tol],
-          same objective, but node ordering (and thus node counts) may
-          differ *)
+          variable, else 1). [1] runs one worker inline on the calling
+          domain, with no domain pool and no basis snapshots (only a
+          thief installs one); [> 1] runs the same loop on that many
+          workers — same outcome and, within [gap_tol], same objective,
+          but node ordering (and thus node counts) may differ *)
   deadline : Repro_resilience.Deadline.t option;
       (** unified wall/pivot/node budget shared by every worker and
           threaded into each node's simplex solve, so a stuck LP is cut
@@ -74,8 +78,8 @@ type options = {
           deduplicating {!Cut_pool}) → tighten (node-level interval
           propagation, {!Presolve.tighten_intervals}) → branch
           (pseudo-cost/reliability selection). The default is
-          {!Relaxation.disabled} — the historical one-LP-per-node loop,
-          bit-identical to earlier builds — unless the [REPRO_CUTS]
+          {!Relaxation.disabled} — exactly one LP solve per node —
+          unless the [REPRO_CUTS]
           environment variable forces the gate ([1] on, [0] off).
           With [jobs > 1] the pool is shared: cuts are appended to each
           worker in pool order only, and basis snapshots carry their
@@ -92,10 +96,9 @@ type outcome =
   | Infeasible
   | Unbounded
 
-(** Parallel-tree instrumentation for one solve. For the serial path this
-    is {!serial_tree_stats}. *)
+(** Tree-search instrumentation for one solve. *)
 type tree_stats = {
-  workers : int;  (** worker domains used (1 = serial path) *)
+  workers : int;  (** workers that searched the tree *)
   steals : int;  (** nodes taken from another worker's heap *)
   idle_s : float;
       (** total seconds workers spent blocked waiting for work, summed
@@ -107,6 +110,9 @@ type tree_stats = {
           in [best_bound] *)
 }
 
+(** The value for one worker or no tree: one worker, no steals, no idle
+    time, none lost. A [jobs = 1] search whose worker survives reports
+    exactly this; solves that never build a tree use it too. *)
 val serial_tree_stats : tree_stats
 
 type result = {
@@ -134,8 +140,8 @@ type result = {
     omitted a private {!Repro_engine.Pool} of [jobs] domains is spun up
     for the solve and shut down afterwards. The pool's await is
     help-first, so a pool smaller than [jobs] still completes — surplus
-    workers just find the tree already exhausted. [pool] is ignored when
-    [jobs = 1].
+    workers just find the tree already exhausted. At [jobs = 1] no pool
+    is built and [pool] is ignored.
 
     [primal_heuristic] is called on each node's relaxation values and may
     return a trusted feasible objective value (model direction) with an

@@ -1,4 +1,4 @@
-(* Concurrent best-bound node pool for parallel branch-and-bound.
+(* Concurrent best-bound node pool for branch-and-bound.
 
    Per-worker max-heaps under one lock: a worker pushes children onto
    its own heap, and [take] hands out the globally best-bound top across

@@ -1,6 +1,6 @@
 (** Concurrent best-bound node pool with work stealing.
 
-    The queue discipline behind parallel {!Branch_bound}: one max-heap
+    The queue discipline behind {!Branch_bound}: one max-heap
     per worker under a single lock. A worker pushes children onto its
     own heap; [take] returns the globally best-bound top across all
     heaps, with the worker's own heap winning ties so local

@@ -45,7 +45,7 @@ val value : lp_result -> Model.var -> float
     values. The reduction is recorded in the result's
     [lp_stats.presolve_rows]/[presolve_cols].
 
-    [pool] supplies worker domains for the parallel tree search when
+    [pool] supplies worker domains for the tree search when
     [options.jobs > 1]; see {!Branch_bound.solve}. *)
 val solve :
   ?pool:Repro_engine.Pool.t ->

@@ -86,9 +86,9 @@ type stats = {
           iterations, refactorizations, eta count, warm-start hits, and
           presolve row/column reductions *)
   tree : Branch_bound.tree_stats;
-      (** parallel-tree counters of the main B\&B run (workers, steals,
+      (** tree-search counters of the main B\&B run (workers, steals,
           idle time); {!Branch_bound.serial_tree_stats} when the MILP
-          phase ran serially or was skipped *)
+          phase ran with one worker or was skipped *)
   elapsed : float;
   model_vars : int;
   model_constrs : int;

@@ -289,7 +289,7 @@ let milp_backends_agree =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* parallel tree search: jobs > 1 vs the serial path                   *)
+(* tree search across job counts                                       *)
 (* ------------------------------------------------------------------ *)
 
 let solve_with_jobs ?(node_limit = Branch_bound.default_options.node_limit)
@@ -338,12 +338,30 @@ let build_sos_milp (n, m, a, b, c, ub, group_size) =
     (Linexpr.of_terms (List.init n (fun j -> (xs.(j), c.(j)))));
   model
 
+(* Fixed instances for the golden fixture and the poll-count tests: the
+   coefficients come from modular arithmetic, not from a generator, so
+   they do not move with the random-number library. *)
+let golden_binary_inst =
+  let n = 8 and m = 3 in
+  let a = Array.init (m * n) (fun k -> float ((37 * k + 11) mod 41) /. 4. -. 3.) in
+  let b = Array.init m (fun i -> float (9 + (5 * i mod 7))) in
+  let c = Array.init n (fun j -> float ((13 * j + 5) mod 17) /. 2. -. 1.) in
+  (n, m, a, b, c)
+
+let golden_sos_inst =
+  let n = 12 and m = 3 in
+  let a = Array.init (m * n) (fun k -> 0.5 +. float ((29 * k + 3) mod 31) /. 8.) in
+  let b = Array.init m (fun i -> float (10 + (2 * i))) in
+  let c = Array.init n (fun j -> 0.5 +. float ((11 * j + 7) mod 23) /. 4.) in
+  let ub = Array.init n (fun j -> 0.4 +. float (j mod 2) *. 0.3) in
+  (n, m, a, b, c, ub, 3)
+
 let agree_serial_parallel ~name gen build count =
   QCheck.Test.make ~count ~name (QCheck.make gen) (fun inst ->
       let serial = solve_with_jobs ~jobs:1 (build inst) in
       let par = solve_with_jobs ~jobs:4 (build inst) in
       if serial.Branch_bound.outcome <> par.Branch_bound.outcome then
-        QCheck.Test.fail_reportf "outcome mismatch: serial %s parallel %s"
+        QCheck.Test.fail_reportf "outcome mismatch: jobs=1 %s jobs=4 %s"
           (Fmt.str "%a" Branch_bound.pp_outcome serial.Branch_bound.outcome)
           (Fmt.str "%a" Branch_bound.pp_outcome par.Branch_bound.outcome);
       (match serial.Branch_bound.outcome with
@@ -354,7 +372,7 @@ let agree_serial_parallel ~name gen build count =
             > 1e-6 *. (1. +. Float.abs serial.Branch_bound.objective)
           then
             QCheck.Test.fail_reportf
-              "objective mismatch: serial %.12g parallel %.12g"
+              "objective mismatch: jobs=1 %.12g jobs=4 %.12g"
               serial.Branch_bound.objective par.Branch_bound.objective;
           (match par.Branch_bound.primal with
           | None -> QCheck.Test.fail_reportf "parallel optimal without primal"
@@ -367,21 +385,21 @@ let agree_serial_parallel ~name gen build count =
         QCheck.Test.fail_reportf "parallel run reported %d workers"
           par.Branch_bound.tree.Branch_bound.workers;
       if serial.Branch_bound.tree <> Branch_bound.serial_tree_stats then
-        QCheck.Test.fail_reportf "serial run reported parallel tree stats";
+        QCheck.Test.fail_reportf "jobs=1 run reported multi-worker tree stats";
       true)
 
 let parallel_agrees_milp =
   agree_serial_parallel
-    ~name:"parallel (jobs=4) B&B matches serial on binary MILPs"
+    ~name:"jobs=4 B&B matches jobs=1 on binary MILPs"
     random_binary_milp_gen build_binary_milp 60
 
 let parallel_agrees_sos =
   agree_serial_parallel
-    ~name:"parallel (jobs=4) B&B matches serial on SOS1 models"
+    ~name:"jobs=4 B&B matches jobs=1 on SOS1 models"
     random_sos_milp_gen build_sos_milp 40
 
-(* jobs = 1 must remain deterministic run to run — the regression guard
-   for "the serial path is bit-identical to the pre-parallel code". *)
+(* jobs = 1 must be deterministic run to run: one worker on the calling
+   domain sees no scheduler, so identical inputs give identical trees. *)
 let serial_bit_identical =
   QCheck.Test.make ~count:40
     ~name:"jobs=1 B&B is bit-identical across runs"
@@ -403,37 +421,125 @@ let serial_bit_identical =
       then QCheck.Test.fail_reportf "simplex iteration count differs";
       true)
 
-(* Shared-counter limits under parallelism: the node limit may overshoot
-   by at most jobs - 1 in-flight nodes; an interrupt wired to "true"
-   stops the search before any meaningful work. *)
+(* Shared-counter limits: the node limit may overshoot by at most
+   jobs - 1 in-flight nodes (so it is exact at jobs = 1), and the bound
+   reported by a stopped search still covers the optimum; an interrupt
+   wired to "true" stops the search before any meaningful work. *)
 let parallel_node_limit =
-  QCheck.Test.make ~count:25 ~name:"jobs=4 node limit overshoots by < jobs"
+  QCheck.Test.make ~count:40 ~name:"node limit overshoots by < jobs (jobs 1, 4)"
     (QCheck.make random_binary_milp_gen) (fun inst ->
-      let r =
-        solve_with_jobs ~jobs:4 ~node_limit:3 (build_binary_milp inst)
-      in
-      if r.Branch_bound.nodes > 3 + 4 then
-        QCheck.Test.fail_reportf "node limit 3 overshot to %d nodes"
-          r.Branch_bound.nodes;
+      (* x = 0 is always feasible, so the full search ends Optimal *)
+      let opt = (solve_with_jobs ~jobs:1 (build_binary_milp inst)).objective in
+      List.iter
+        (fun (jobs, node_limit) ->
+          let r =
+            solve_with_jobs ~jobs ~node_limit (build_binary_milp inst)
+          in
+          if r.Branch_bound.nodes > node_limit + jobs - 1 then
+            QCheck.Test.fail_reportf "jobs=%d: node limit %d overshot to %d nodes"
+              jobs node_limit r.Branch_bound.nodes;
+          if r.Branch_bound.best_bound < opt -. (1e-6 *. (1. +. Float.abs opt))
+          then
+            QCheck.Test.fail_reportf
+              "jobs=%d: bound %.12g after node limit %d is below the optimum \
+               %.12g"
+              jobs r.Branch_bound.best_bound node_limit opt)
+        (List.concat_map
+           (fun jobs -> List.init 6 (fun k -> (jobs, k + 1)))
+           [ 1; 4 ]);
       true)
 
 let parallel_interrupt =
-  QCheck.Test.make ~count:25 ~name:"jobs=4 interrupt stops the search"
+  QCheck.Test.make ~count:25 ~name:"interrupt stops the search (jobs 1, 4)"
     (QCheck.make random_binary_milp_gen) (fun inst ->
-      let r =
-        solve_with_jobs ~jobs:4
-          ~interrupt:(fun () -> true)
-          (build_binary_milp inst)
-      in
-      (match r.Branch_bound.outcome with
-      | Branch_bound.No_incumbent | Branch_bound.Feasible -> ()
-      | o ->
-          QCheck.Test.fail_reportf "interrupted run reported %s"
-            (Fmt.str "%a" Branch_bound.pp_outcome o));
-      if r.Branch_bound.nodes > 4 then
-        QCheck.Test.fail_reportf "interrupted run expanded %d nodes"
-          r.Branch_bound.nodes;
+      List.iter
+        (fun jobs ->
+          let r =
+            solve_with_jobs ~jobs
+              ~interrupt:(fun () -> true)
+              (build_binary_milp inst)
+          in
+          (match r.Branch_bound.outcome with
+          | Branch_bound.No_incumbent | Branch_bound.Feasible -> ()
+          | o ->
+              QCheck.Test.fail_reportf "jobs=%d: interrupted run reported %s"
+                jobs
+                (Fmt.str "%a" Branch_bound.pp_outcome o));
+          if r.Branch_bound.nodes > jobs then
+            QCheck.Test.fail_reportf "jobs=%d: interrupted run expanded %d nodes"
+              jobs r.Branch_bound.nodes)
+        [ 1; 4 ];
       true)
+
+(* Cuts and backend are pinned so REPRO_CUTS / REPRO_LP_BACKEND cannot
+   move the numbers below. *)
+let golden_options =
+  {
+    Branch_bound.default_options with
+    backend = Some Backend.Sparse;
+    cuts = Relaxation.disabled;
+    jobs = 1;
+  }
+
+(* Golden fixture for the tree search at jobs = 1: outcome, objective
+   and bound bits, node and pivot counts on the two fixed instances. A
+   change to any of them is a change to the search and must be made on
+   purpose. *)
+let test_golden_jobs1 () =
+  let outcome = Alcotest.testable Branch_bound.pp_outcome ( = ) in
+  let check name model ~objective ~best_bound ~nodes ~iterations =
+    let r = Branch_bound.solve ~options:golden_options model in
+    Alcotest.check outcome (name ^ " outcome") Branch_bound.Optimal
+      r.Branch_bound.outcome;
+    Alcotest.(check int64)
+      (name ^ " objective bits") objective
+      (Int64.bits_of_float r.Branch_bound.objective);
+    Alcotest.(check int64)
+      (name ^ " best_bound bits") best_bound
+      (Int64.bits_of_float r.Branch_bound.best_bound);
+    Alcotest.(check int) (name ^ " nodes") nodes r.Branch_bound.nodes;
+    Alcotest.(check int)
+      (name ^ " simplex iterations") iterations
+      r.Branch_bound.simplex_iterations
+  in
+  (* 18.5 *)
+  check "binary" (build_binary_milp golden_binary_inst)
+    ~objective:4625900504751276032L ~best_bound:4625900504751276032L
+    ~nodes:15 ~iterations:21;
+  (* 12.599999999999998 *)
+  check "sos1" (build_sos_milp golden_sos_inst)
+    ~objective:4623282787467866930L ~best_bound:4623282787467866930L
+    ~nodes:31 ~iterations:39
+
+(* [interrupt] is polled once per node: a search that runs to completion
+   polls it exactly [nodes] times, and one stopped by [node_limit = k]
+   polls it k + 1 times — the last poll is the one that finds the
+   limit. *)
+let test_interrupt_polled_once_per_node () =
+  let run ~node_limit =
+    let polls = ref 0 in
+    let r =
+      Branch_bound.solve
+        ~options:
+          {
+            golden_options with
+            node_limit;
+            interrupt =
+              (fun () ->
+                incr polls;
+                false);
+          }
+        (build_binary_milp golden_binary_inst)
+    in
+    (r, !polls)
+  in
+  let full, polls = run ~node_limit:max_int in
+  Alcotest.(check bool) "tree outgrows the limit below" true
+    (full.Branch_bound.nodes > 3);
+  Alcotest.(check int) "complete search" full.Branch_bound.nodes polls;
+  let cut, polls = run ~node_limit:3 in
+  Alcotest.(check int) "node_limit 3 expands 3 nodes" 3 cut.Branch_bound.nodes;
+  Alcotest.(check int) "node_limit 3 polls 4 times" 4 polls
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -455,6 +561,13 @@ let () =
         ] );
       qsuite "differential"
         [ backends_agree; warm_equals_cold; milp_backends_agree ];
+      ( "tree_search",
+        [
+          Alcotest.test_case "golden fixture at jobs=1" `Quick
+            test_golden_jobs1;
+          Alcotest.test_case "interrupt polled once per node" `Quick
+            test_interrupt_polled_once_per_node;
+        ] );
       qsuite "parallel_tree"
         [
           parallel_agrees_milp;

@@ -312,27 +312,36 @@ let test_bb_wall_deadline_2x () =
     "deadline latched the wall trip" true
     (R.Deadline.tripped d = Some R.Deadline.Wall)
 
+(* The fault point sits in the tree-search worker, so a lone worker
+   (jobs = 1, run inline) dies the same way one of four does. *)
 let test_bb_worker_death_degrades () =
   let reference = Solver.solve ~options:serial_opts (knapsack_milp 14) in
-  with_faults ~seed:3
-    [ ("worker_death", { R.Faults.prob = 1.; limit = Some 1 }) ]
-    (fun () ->
-      let outcome =
-        Solver.solve_bounded
-          ~options:{ Branch_bound.default_options with jobs = 4 }
-          (knapsack_milp 14)
-      in
-      (match outcome with
-      | O.Failed e ->
-          Alcotest.failf "worker death must degrade, not fail: %s"
-            (O.error_to_string e)
-      | O.Feasible_bound { reason; _ } ->
-          Alcotest.(check bool)
-            "lost worker reported" true
-            (match reason with O.Worker_lost n -> n >= 1 | _ -> false)
-      | O.Complete _ | O.Degraded _ -> ());
-      check_sound_outcome ~name:"worker death"
-        ~true_opt:reference.Branch_bound.objective outcome)
+  List.iter
+    (fun jobs ->
+      with_faults ~seed:3
+        [ ("worker_death", { R.Faults.prob = 1.; limit = Some 1 }) ]
+        (fun () ->
+          let name = Printf.sprintf "worker death (jobs=%d)" jobs in
+          let outcome =
+            Solver.solve_bounded
+              ~options:{ Branch_bound.default_options with jobs }
+              (knapsack_milp 14)
+          in
+          let lost reason =
+            Alcotest.(check bool)
+              (name ^ ": lost worker reported") true
+              (match reason with O.Worker_lost n -> n >= 1 | _ -> false)
+          in
+          (match outcome with
+          | O.Failed e ->
+              Alcotest.failf "%s must degrade, not fail: %s" name
+                (O.error_to_string e)
+          | O.Complete _ -> Alcotest.failf "%s must degrade" name
+          | O.Feasible_bound { reason; _ } | O.Degraded { reason; _ } ->
+              lost reason);
+          check_sound_outcome ~name ~true_opt:reference.Branch_bound.objective
+            outcome))
+    [ 1; 4 ]
 
 let test_bb_pivot_stall_chaos () =
   (* stalls injected into every pivot loop; the wall deadline must still

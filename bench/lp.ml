@@ -1,13 +1,11 @@
 (* LP engine benchmark: dense tableau vs sparse revised simplex, and
-   warm-started vs cold-restarted branch-and-bound.
+   the branch-and-bound tree search at a fixed node budget across job
+   counts.
 
    Root-LP timings cover the fig6-family metaopt models (DP and POP on
    B4) plus larger synthetic circle topologies, where the constraint
    matrices grow while staying extremely sparse — the regime the revised
-   simplex is built for. The warm-start comparison re-runs the same
-   branch-and-bound search with [warm_start = false] (cold from-scratch
-   solve per node) at a fixed node budget and compares total simplex
-   iterations.
+   simplex is built for.
 
    Results go to stdout and to BENCH_lp.json. REPRO_BENCH_LP_TINY=1
    shrinks everything to CI-smoke size. *)
@@ -51,22 +49,6 @@ let linear_violation model primal =
     if hi > !worst then worst := hi
   done;
   !worst
-
-type warm_row = {
-  problem : string;
-  warm_iters : int;
-  cold_iters : int;
-  warm_nodes : int;
-  cold_nodes : int;
-  warm_s : float;
-  cold_s : float;
-  hits : int;
-  misses : int;
-  refactors : int;
-      (* forced reinversions of inherited eta files: the warm path used
-         to inherit arbitrarily long eta chains from shipped bases,
-         making "warm" slower than cold on deep trees *)
-}
 
 let dp_metaopt pathset g =
   Gap_problem.build pathset
@@ -157,52 +139,6 @@ let bench_root (name, build) =
       "  note: objectives differ (dense %.9g, sparse %.9g); max row/bound \
        violation dense %.3g vs sparse %.3g"
       row.dense_obj row.sparse_obj row.dense_viol row.sparse_viol;
-  row
-
-let bench_warm_cold () =
-  let g = Topologies.b4 () in
-  let pathset = Common.pathset_of g ~paths:Common.default_paths in
-  let gp = dp_metaopt pathset g in
-  let node_limit = if tiny_mode then 40 else 400 in
-  let options warm_start =
-    {
-      Branch_bound.default_options with
-      node_limit;
-      time_limit = (if tiny_mode then 30. else 300.);
-      warm_start;
-    }
-  in
-  let warm_r, warm_s =
-    time (fun () ->
-        Branch_bound.solve ~options:(options true) gp.Gap_problem.model)
-  in
-  let cold_r, cold_s =
-    time (fun () ->
-        Branch_bound.solve ~options:(options false) gp.Gap_problem.model)
-  in
-  let row =
-    {
-      problem = "DP metaopt b4";
-      warm_iters = warm_r.Branch_bound.simplex_iterations;
-      cold_iters = cold_r.Branch_bound.simplex_iterations;
-      warm_nodes = warm_r.Branch_bound.nodes;
-      cold_nodes = cold_r.Branch_bound.nodes;
-      warm_s;
-      cold_s;
-      hits = warm_r.Branch_bound.lp_stats.Simplex.warm_hits;
-      misses = warm_r.Branch_bound.lp_stats.Simplex.warm_misses;
-      refactors = warm_r.Branch_bound.lp_stats.Simplex.refactorizations;
-    }
-  in
-  Common.row
-    "warm-started: %7d iters / %4d nodes in %6.2fs  (dual-simplex hits \
-     %d/%d, %d refactorizations)"
-    row.warm_iters row.warm_nodes warm_s row.hits (row.hits + row.misses)
-    row.refactors;
-  Common.row "cold-restart: %7d iters / %4d nodes in %6.2fs" row.cold_iters
-    row.cold_nodes cold_s;
-  Common.row "  iteration ratio warm/cold: %.3f"
-    (float_of_int row.warm_iters /. float_of_int (Int.max 1 row.cold_iters));
   row
 
 (* ------------------------------------------------------------------ *)
@@ -331,98 +267,7 @@ let bench_parallel_tree () =
       rows)
     problems
 
-(* ------------------------------------------------------------------ *)
-(* cutting-plane pipeline                                              *)
-(* ------------------------------------------------------------------ *)
-
-type cut_row = {
-  cut_problem : string;
-  cut_on : bool;
-  cut_jobs : int;
-  cut_budget : int;
-  cut_outcome : string;
-  cut_objective : float;  (* nan when no incumbent (raw tree, by design) *)
-  cut_bound : float;
-  cut_nodes : int;
-  cut_elapsed : float;
-  cuts_added : int;
-  cuts_active : int;
-  bounds_tightened : int;
-}
-
-(* Same fixed-node-budget protocol as the parallel section, with the
-   relaxation-manager pipeline toggled: the question is how many nodes
-   the search needs (or how far the best bound moves within the budget)
-   once Gomory/SOS1 cuts, node tightening and pseudo-cost branching are
-   on. Runs the raw tree (no primal heuristic) so node counts measure
-   the relaxation alone. *)
-let bench_cuts () =
-  let g = Topologies.b4 () in
-  let pathset = Common.pathset_of g ~paths:Common.default_paths in
-  let node_limit = if tiny_mode then 32 else 128 in
-  let problems =
-    [
-      ("DP metaopt b4", fun () -> dp_metaopt pathset g);
-      ( "POP(2 inst) metaopt b4",
-        fun () -> pop_metaopt pathset ~instances:2 );
-    ]
-  in
-  let configs = [ (false, 1); (true, 1); (true, 4) ] in
-  List.concat_map
-    (fun (name, build) ->
-      let gp = build () in
-      let rows =
-        List.map
-          (fun (on, jobs) ->
-            let r, elapsed =
-              time (fun () ->
-                  Branch_bound.solve
-                    ~options:
-                      {
-                        Branch_bound.default_options with
-                        jobs;
-                        time_limit = 600.;
-                        stall_time = infinity;
-                        node_limit;
-                        cuts =
-                          (if on then Relaxation.default_enabled
-                           else Relaxation.disabled);
-                      }
-                    gp.Gap_problem.model)
-            in
-            let s = r.Branch_bound.lp_stats in
-            {
-              cut_problem = name;
-              cut_on = on;
-              cut_jobs = jobs;
-              cut_budget = node_limit;
-              cut_outcome =
-                Fmt.str "%a" Branch_bound.pp_outcome r.Branch_bound.outcome;
-              cut_objective = r.Branch_bound.objective;
-              cut_bound = r.Branch_bound.best_bound;
-              cut_nodes = r.Branch_bound.nodes;
-              cut_elapsed = elapsed;
-              cuts_added = s.Simplex.cuts_added;
-              cuts_active = s.Simplex.cuts_active;
-              bounds_tightened = s.Simplex.bounds_tightened;
-            })
-          configs
-      in
-      List.iter
-        (fun row ->
-          Common.row
-            "%-24s cuts=%-3s jobs=%d %-20s bound %10.6g  %4d/%d nodes \
-             %3d cuts (%d active) %3d tightened  %6.2fs"
-            row.cut_problem
-            (if row.cut_on then "on" else "off")
-            row.cut_jobs row.cut_outcome row.cut_bound row.cut_nodes
-            row.cut_budget row.cuts_added row.cuts_active
-            row.bounds_tightened row.cut_elapsed)
-        rows;
-      rows)
-    problems
-
-let write_json path roots warm par_rows cut_rows =
+let write_json path roots par_rows =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n\
@@ -433,12 +278,7 @@ let write_json path roots warm par_rows cut_rows =
     (Backend.kind_to_string (Backend.default ()));
   (* the tree-search phases are the only parallel ones: record the
      widest worker count any row actually ran with *)
-  let jobs =
-    List.fold_left
-      (fun acc r -> max acc r.cut_jobs)
-      (List.fold_left (fun acc r -> max acc r.par_jobs) 1 par_rows)
-      cut_rows
-  in
+  let jobs = List.fold_left (fun acc r -> max acc r.par_jobs) 1 par_rows in
   Common.host_printf_fields oc ~jobs;
   Printf.fprintf oc "  \"root_lp\": [\n%s\n  ],\n"
     (String.concat ",\n"
@@ -456,14 +296,6 @@ let write_json path roots warm par_rows cut_rows =
               r.sparse_stats.Simplex.refactorizations
               r.sparse_stats.Simplex.etas)
           roots));
-  Printf.fprintf oc
-    "  \"warm_start\": {\"problem\": %S, \"node_limit_nodes\": [%d, %d],\n\
-    \    \"warm_iters\": %d, \"cold_iters\": %d, \"warm_s\": %.3f, \
-     \"cold_s\": %.3f,\n\
-    \    \"warm_hits\": %d, \"warm_misses\": %d, \"refactorizations\": %d},\n"
-    warm.problem warm.warm_nodes warm.cold_nodes warm.warm_iters
-    warm.cold_iters warm.warm_s warm.cold_s warm.hits warm.misses
-    warm.refactors;
   (* reference for each problem: the jobs=1 row *)
   let serial_of problem =
     List.find
@@ -474,7 +306,7 @@ let write_json path roots warm par_rows cut_rows =
   let json_float v =
     if Float.is_nan v then "null" else Printf.sprintf "%.9g" v
   in
-  Printf.fprintf oc "  \"parallel_tree\": [\n%s\n  ],\n"
+  Printf.fprintf oc "  \"parallel_tree\": [\n%s\n  ]\n}\n"
     (String.concat ",\n"
        (List.map
           (fun r ->
@@ -490,21 +322,6 @@ let write_json path roots warm par_rows cut_rows =
               (s.par_elapsed /. Float.max 1e-9 r.par_elapsed)
               r.par_nodes r.par_steals r.par_idle)
           par_rows));
-  Printf.fprintf oc "  \"cuts\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "    {\"problem\": %S, \"cuts\": %b, \"jobs\": %d, \
-               \"node_budget\": %d, \"outcome\": %S, \"objective\": %s, \
-               \"best_bound\": %s, \"nodes\": %d, \"elapsed_s\": %.4f, \
-               \"cuts_added\": %d, \"cuts_active\": %d, \
-               \"bounds_tightened\": %d}"
-              r.cut_problem r.cut_on r.cut_jobs r.cut_budget r.cut_outcome
-              (json_float r.cut_objective)
-              (json_float r.cut_bound) r.cut_nodes r.cut_elapsed r.cuts_added
-              r.cuts_active r.bounds_tightened)
-          cut_rows));
   close_out oc;
   Common.row "machine-readable results written to %s" path
 
@@ -515,12 +332,7 @@ let run () =
   Common.row "%-28s %7s %8s %9s %9s %9s" "model" "#vars" "#constrs" "dense(s)"
     "sparse(s)" "speedup";
   let roots = List.map bench_root (root_models ()) in
-  Common.subsection "warm-started vs cold-restarted branch-and-bound";
-  let warm = bench_warm_cold () in
   Common.subsection
     "tree search: fixed node budget, jobs=1 vs jobs in {2, 4}";
   let par_rows = bench_parallel_tree () in
-  Common.subsection
-    "cutting planes: relaxation pipeline off vs on, fixed node budget";
-  let cut_rows = bench_cuts () in
-  write_json "BENCH_lp.json" roots warm par_rows cut_rows
+  write_json "BENCH_lp.json" roots par_rows

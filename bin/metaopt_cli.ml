@@ -267,17 +267,6 @@ let degrade_arg =
   in
   Arg.(value & flag & info [ "degrade" ] ~doc)
 
-let cuts_arg =
-  let doc =
-    "Enable the cutting-plane pipeline in the white-box MILP search: \
-     Gomory mixed-integer and SOS1 disjunctive cuts in a shared \
-     deduplicating pool, node-level bound tightening, and pseudo-cost \
-     (reliability) branching. Off by default; \\$(b,REPRO_CUTS)=1/0 in \
-     the environment forces the gate either way for every solver path \
-     (including --family binpack)."
-  in
-  Arg.(value & flag & info [ "cuts" ] ~doc)
-
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
@@ -340,7 +329,7 @@ let run_binpack ~items ~dims ~seed ~time ~no_milp ~verbose =
 
 let find_gap_cmd =
   let run g paths heuristic threshold_frac parts instances seed method_ time
-      no_milp show_demands out verbose jobs lp_backend deadline_s degrade cuts
+      no_milp show_demands out verbose jobs lp_backend deadline_s degrade
       family items dims =
     (match family with
     | None -> ()
@@ -441,9 +430,6 @@ let find_gap_cmd =
                 stall_time = Float.max 2. (time /. 4.);
                 log_progress = verbose;
                 deadline;
-                cuts =
-                  (if cuts then Relaxation.default_enabled
-                   else Branch_bound.default_options.Branch_bound.cuts);
               };
           }
         in
@@ -501,7 +487,7 @@ let find_gap_cmd =
       const run $ topology_arg $ paths_arg $ heuristic_arg $ threshold_frac_arg
       $ parts_arg $ instances_arg $ seed_arg $ method_arg $ time_arg
       $ no_milp_arg $ show_demands_arg $ out_arg $ verbose_arg $ jobs_arg
-      $ lp_backend_arg $ deadline_arg $ degrade_arg $ cuts_arg $ family_arg
+      $ lp_backend_arg $ deadline_arg $ degrade_arg $ family_arg
       $ items_arg $ dims_arg)
   in
   Cmd.v

@@ -70,13 +70,7 @@ module type S = sig
   val total_iterations : state -> int
   val snapshot_basis : state -> Simplex.basis_snapshot
   val install_basis : state -> Simplex.basis_snapshot -> bool
-  val append_rows : state -> ((int * float) array * float) array -> unit
   val num_rows : state -> int
-  val num_cuts : state -> int
-  val basic_var : state -> int -> int
-  val basic_value : state -> int -> float
-  val col_stat : state -> int -> int
-  val tableau_row : state -> int -> (int * float) list
   val stats : state -> Simplex.stats
   val pp_state : Format.formatter -> state -> unit
 end
@@ -97,13 +91,7 @@ module Dense_backend : S with type state = Simplex.t = struct
   let total_iterations = Simplex.total_iterations
   let snapshot_basis = Simplex.snapshot_basis
   let install_basis = Simplex.install_basis
-  let append_rows = Simplex.append_rows
   let num_rows = Simplex.num_rows
-  let num_cuts = Simplex.num_cuts
-  let basic_var = Simplex.basic_var
-  let basic_value = Simplex.basic_value
-  let col_stat = Simplex.col_stat
-  let tableau_row = Simplex.tableau_row
   let stats = Simplex.stats
   let pp_state = Simplex.pp_state
 end
@@ -124,13 +112,7 @@ module Sparse_backend : S with type state = Sparse_simplex.t = struct
   let total_iterations = Sparse_simplex.total_iterations
   let snapshot_basis = Sparse_simplex.snapshot_basis
   let install_basis = Sparse_simplex.install_basis
-  let append_rows = Sparse_simplex.append_rows
   let num_rows = Sparse_simplex.num_rows
-  let num_cuts = Sparse_simplex.num_cuts
-  let basic_var = Sparse_simplex.basic_var
-  let basic_value = Sparse_simplex.basic_value
-  let col_stat = Sparse_simplex.col_stat
-  let tableau_row = Sparse_simplex.tableau_row
   let stats = Sparse_simplex.stats
   let pp_state = Sparse_simplex.pp_state
 end
@@ -170,12 +152,6 @@ let resolve_rhs_batch ?iter_limit ?deadline (Packed ((module B), s, _)) rhs =
 let total_iterations (Packed ((module B), s, _)) = B.total_iterations s
 let snapshot_basis (Packed ((module B), s, _)) = B.snapshot_basis s
 let install_basis (Packed ((module B), s, _)) snap = B.install_basis s snap
-let append_rows (Packed ((module B), s, _)) rows = B.append_rows s rows
 let num_rows (Packed ((module B), s, _)) = B.num_rows s
-let num_cuts (Packed ((module B), s, _)) = B.num_cuts s
-let basic_var (Packed ((module B), s, _)) i = B.basic_var s i
-let basic_value (Packed ((module B), s, _)) i = B.basic_value s i
-let col_stat (Packed ((module B), s, _)) j = B.col_stat s j
-let tableau_row (Packed ((module B), s, _)) i = B.tableau_row s i
 let stats (Packed ((module B), s, _)) = B.stats s
 let pp_state ppf (Packed ((module B), s, _)) = B.pp_state ppf s

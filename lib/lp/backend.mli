@@ -66,13 +66,7 @@ module type S = sig
   val total_iterations : state -> int
   val snapshot_basis : state -> Simplex.basis_snapshot
   val install_basis : state -> Simplex.basis_snapshot -> bool
-  val append_rows : state -> ((int * float) array * float) array -> unit
   val num_rows : state -> int
-  val num_cuts : state -> int
-  val basic_var : state -> int -> int
-  val basic_value : state -> int -> float
-  val col_stat : state -> int -> int
-  val tableau_row : state -> int -> (int * float) list
   val stats : state -> Simplex.stats
   val pp_state : Format.formatter -> state -> unit
 end
@@ -132,23 +126,8 @@ val snapshot_basis : t -> Simplex.basis_snapshot
 
 val install_basis : t -> Simplex.basis_snapshot -> bool
 
-(** {2 Cut-row API}
-
-    [append_rows] grows the LP with rows [terms . x <= rhs] (structural
-    columns only) while keeping the current basis warm — the dense
-    oracle refactorizes, the sparse engine pushes eta-file-preserving
-    row etas; either way the next {!resolve} restores feasibility by
-    dual simplex. The accessors expose what the Gomory separator needs:
-    the basic column/value of each row, every column's encoded status
-    (0 basic, 1 at-lower, 2 at-upper, 3 free), and nonbasic tableau-row
-    entries over structural + slack columns. *)
-
-val append_rows : t -> ((int * float) array * float) array -> unit
+(** Number of constraint rows — the length of every RHS vector. *)
 val num_rows : t -> int
-val num_cuts : t -> int
-val basic_var : t -> int -> int
-val basic_value : t -> int -> float
-val col_stat : t -> int -> int
-val tableau_row : t -> int -> (int * float) list
+
 val stats : t -> Simplex.stats
 val pp_state : Format.formatter -> t -> unit

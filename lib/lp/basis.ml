@@ -12,7 +12,7 @@
    the dense tableau's O(m * n) row sweep. *)
 
 type t = {
-  mutable m : int;
+  m : int;
   (* eta file: eta k pivots on row rows.(k) with pivot value pivots.(k);
      its off-pivot nonzeros are (idx, value) pairs in [start.(k), start.(k+1)) *)
   mutable rows : int array;
@@ -20,20 +20,14 @@ type t = {
   mutable start : int array; (* length capacity + 1 *)
   mutable idx : int array;
   mutable value : float array;
-  (* kinds.(k): a column eta (identity with column r replaced) when false,
-     a row eta (identity with row r replaced — appended cut rows) when
-     true.  A row eta's ftran step is the column eta's btran step and
-     vice versa, so the two kinds share storage and differ only in which
-     update formula each pass applies. *)
-  mutable kinds : bool array;
   mutable n_eta : int;
   mutable nnz : int;
   mutable base_eta : int; (* etas belonging to the last refactorization *)
   mutable refactorizations : int;
   (* reinversion workspace *)
-  mutable work : float array;
-  mutable touched : int array;
-  mutable in_touched : bool array;
+  work : float array;
+  touched : int array;
+  in_touched : bool array;
   mutable n_touched : int;
 }
 
@@ -45,7 +39,6 @@ let create ~m =
     start = Array.make 17 0;
     idx = Array.make 64 0;
     value = Array.make 64 0.;
-    kinds = Array.make 16 false;
     n_eta = 0;
     nnz = 0;
     base_eta = 0;
@@ -69,35 +62,12 @@ let grow_int a n = Array.append a (Array.make (Int.max n (Array.length a)) 0)
 let grow_float a n =
   Array.append a (Array.make (Int.max n (Array.length a)) 0.)
 
-let grow_bool a n =
-  Array.append a (Array.make (Int.max n (Array.length a)) false)
-
 let ensure_eta_capacity t =
   if t.n_eta >= Array.length t.rows then begin
     t.rows <- grow_int t.rows 1;
     t.pivots <- grow_float t.pivots 1;
-    t.start <- grow_int t.start 1;
-    t.kinds <- grow_bool t.kinds 1
+    t.start <- grow_int t.start 1
   end
-
-(* Extend the factorization's dimension (appended cut rows). The eta file
-   itself is untouched — existing etas never reference the new rows — but
-   the reinversion workspaces must cover them. *)
-let grow t ~m =
-  if m < t.m then invalid_arg "Basis.grow: shrinking";
-  if m > Array.length t.work then begin
-    let cap = Int.max m (2 * Array.length t.work) in
-    let work = Array.make cap 0. in
-    Array.blit t.work 0 work 0 t.m;
-    t.work <- work;
-    let touched = Array.make cap 0 in
-    Array.blit t.touched 0 touched 0 t.m;
-    t.touched <- touched;
-    let in_touched = Array.make cap false in
-    Array.blit t.in_touched 0 in_touched 0 t.m;
-    t.in_touched <- in_touched
-  end;
-  t.m <- m
 
 let ensure_nnz_capacity t extra =
   if t.nnz + extra > Array.length t.idx then begin
@@ -114,7 +84,6 @@ let push t ~r (w : float array) =
   let k = t.n_eta in
   t.rows.(k) <- r;
   t.pivots.(k) <- piv;
-  t.kinds.(k) <- false;
   t.start.(k) <- t.nnz;
   let count = ref 0 in
   for i = 0 to t.m - 1 do
@@ -136,12 +105,11 @@ let push t ~r (w : float array) =
 
 (* Push an eta directly from a sparse (idx, val) scatter in the
    reinversion workspace; same layout as [push]. *)
-let push_sparse_kind t ~row_eta ~r ~piv entries =
+let push_sparse t ~r ~piv entries =
   ensure_eta_capacity t;
   let k = t.n_eta in
   t.rows.(k) <- r;
   t.pivots.(k) <- piv;
-  t.kinds.(k) <- row_eta;
   t.start.(k) <- t.nnz;
   ensure_nnz_capacity t (List.length entries);
   List.iter
@@ -153,22 +121,8 @@ let push_sparse_kind t ~row_eta ~r ~piv entries =
   t.n_eta <- k + 1;
   t.start.(k + 1) <- t.nnz
 
-let push_sparse t ~r ~piv entries =
-  push_sparse_kind t ~row_eta:false ~r ~piv entries
-
-(* Append a ROW eta: the identity with row [r] replaced by the sparse
-   entries plus pivot [piv] at (r, r). This is the update factor for an
-   appended cut row whose slack enters the basis in place:
-   B' = [[B, 0]; [a^T, piv]] = diag(B, 1) * R with R the row eta whose
-   off-pivot entries are the cut's coefficients on the variables basic in
-   each existing row. *)
-let push_row t ~r ~piv entries =
-  if Float.abs piv < 1e-12 then invalid_arg "Basis.push_row: zero pivot";
-  push_sparse_kind t ~row_eta:true ~r ~piv entries
-
-(* Column-eta inverse applied to x: t = x_r / w_r; x_i -= w_i * t
-   (i <> r); x_r = t. A row eta's TRANSPOSED inverse is the same
-   operation, so btran reuses this step for row etas. *)
+(* Eta inverse applied to x: t = x_r / w_r; x_i -= w_i * t (i <> r);
+   x_r = t. *)
 let apply_col_step t k (x : float array) =
   let r = Array.unsafe_get t.rows k in
   let xr = Array.unsafe_get x r in
@@ -183,9 +137,8 @@ let apply_col_step t k (x : float array) =
     done
   end
 
-(* Row-eta inverse applied to x: x_r = (x_r - sum w_i x_i) / w_r, other
-   entries untouched. This is also the column eta's transposed inverse,
-   so btran reuses this step for column etas. *)
+(* Transposed eta inverse applied to x: x_r = (x_r - sum w_i x_i) / w_r,
+   other entries untouched — the step btran applies per eta. *)
 let apply_row_step t k (x : float array) =
   let r = Array.unsafe_get t.rows k in
   let acc = ref (Array.unsafe_get x r) in
@@ -201,8 +154,7 @@ let apply_row_step t k (x : float array) =
 (* x := B^-1 x.  Apply eta inverses oldest-first. *)
 let ftran t (x : float array) =
   for k = 0 to t.n_eta - 1 do
-    if Array.unsafe_get t.kinds k then apply_row_step t k x
-    else apply_col_step t k x
+    apply_col_step t k x
   done
 
 (* Batched ftran: X holds [width] RHS columns interleaved row-major
@@ -224,56 +176,34 @@ let ftran_batch t ~width (x : float array) =
     let rb = r * width in
     let s0 = Array.unsafe_get t.start k in
     let s1 = Array.unsafe_get t.start (k + 1) in
-    if Array.unsafe_get t.kinds k then begin
-      (* row eta: x_r = (x_r - sum w_i x_i) / piv; scalar has no
-         zero-skip here, so neither do we *)
+    (* skip columns whose pivot entry is exactly zero — the scalar step
+       leaves them untouched, and an unconditional [x -. v *. 0.] would
+       flip a -0. to +0. *)
+    for c = 0 to width - 1 do
+      let xr = Array.unsafe_get x (rb + c) in
+      if xr <> 0. then begin
+        Array.unsafe_set live c true;
+        let tt = xr /. piv in
+        Array.unsafe_set tv c tt;
+        Array.unsafe_set x (rb + c) tt
+      end
+      else Array.unsafe_set live c false
+    done;
+    for p = s0 to s1 - 1 do
+      let ib = Array.unsafe_get t.idx p * width in
+      let v = Array.unsafe_get t.value p in
       for c = 0 to width - 1 do
-        Array.unsafe_set tv c (Array.unsafe_get x (rb + c))
-      done;
-      for p = s0 to s1 - 1 do
-        let ib = Array.unsafe_get t.idx p * width in
-        let v = Array.unsafe_get t.value p in
-        for c = 0 to width - 1 do
-          Array.unsafe_set tv c
-            (Array.unsafe_get tv c -. (v *. Array.unsafe_get x (ib + c)))
-        done
-      done;
-      for c = 0 to width - 1 do
-        Array.unsafe_set x (rb + c) (Array.unsafe_get tv c /. piv)
+        if Array.unsafe_get live c then
+          Array.unsafe_set x (ib + c)
+            (Array.unsafe_get x (ib + c) -. (v *. Array.unsafe_get tv c))
       done
-    end
-    else begin
-      (* column eta: skip columns whose pivot entry is exactly zero —
-         the scalar step leaves them untouched, and an unconditional
-         [x -. v *. 0.] would flip a -0. to +0. *)
-      for c = 0 to width - 1 do
-        let xr = Array.unsafe_get x (rb + c) in
-        if xr <> 0. then begin
-          Array.unsafe_set live c true;
-          let tt = xr /. piv in
-          Array.unsafe_set tv c tt;
-          Array.unsafe_set x (rb + c) tt
-        end
-        else Array.unsafe_set live c false
-      done;
-      for p = s0 to s1 - 1 do
-        let ib = Array.unsafe_get t.idx p * width in
-        let v = Array.unsafe_get t.value p in
-        for c = 0 to width - 1 do
-          if Array.unsafe_get live c then
-            Array.unsafe_set x (ib + c)
-              (Array.unsafe_get x (ib + c) -. (v *. Array.unsafe_get tv c))
-        done
-      done
-    end
+    done
   done
 
-(* y := B^-T y.  Apply transposed eta inverses newest-first; transposing
-   swaps the column/row step each eta kind uses. *)
+(* y := B^-T y.  Apply transposed eta inverses newest-first. *)
 let btran t (y : float array) =
   for k = t.n_eta - 1 downto 0 do
-    if Array.unsafe_get t.kinds k then apply_col_step t k y
-    else apply_row_step t k y
+    apply_row_step t k y
   done
 
 (* --------------------------------------------------------------------- *)

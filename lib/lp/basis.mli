@@ -24,28 +24,10 @@ val refactorizations : t -> int
 (** Drop all etas: the factorization becomes the identity. *)
 val reset : t -> unit
 
-(** [grow t ~m] extends the factorization to dimension [m] (appended cut
-    rows). Existing etas are untouched — they never reference the new
-    rows — and the new rows start as identity columns, i.e. the appended
-    slack of each new row is basic in it until an eta says otherwise.
-    @raise Invalid_argument if [m] is smaller than the current dimension. *)
-val grow : t -> m:int -> unit
-
 (** [push t ~r w] appends the pivot eta for an entering column whose
     ftran'd representation is the dense vector [w] with pivot row [r].
     @raise Invalid_argument if [w.(r)] is numerically zero. *)
 val push : t -> r:int -> float array -> unit
-
-(** [push_row t ~r ~piv entries] appends a ROW eta — the identity with
-    row [r] replaced by the sparse [entries] off-pivot and [piv] on the
-    diagonal. This is the exact update factor for an appended cut row
-    [a^T x + piv*s = rhs] whose slack [s] becomes basic in the new row
-    [r]: with [entries = [(i, a_Bi)]] holding the cut's coefficient on
-    the variable basic in each existing row [i], the grown basis factors
-    as [diag(B, 1) * R] and {!ftran}/{!btran} stay exact without a
-    refactorization.
-    @raise Invalid_argument if [piv] is numerically zero. *)
-val push_row : t -> r:int -> piv:float -> (int * float) list -> unit
 
 (** [ftran t x] overwrites [x] with [B^-1 x]. *)
 val ftran : t -> float array -> unit

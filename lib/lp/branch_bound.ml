@@ -11,16 +11,11 @@ type options = {
   log_progress : bool;
   interrupt : unit -> bool;
   backend : Backend.kind option;
-  warm_start : bool;
   jobs : int;
   (* unified wall/pivot/node budget, shared by every worker and charged
      down inside the simplex; [None] keeps the search bit-identical to
      a build without the resilience layer *)
   deadline : Repro_resilience.Deadline.t option;
-  (* relaxation pipeline (cut separation, node bound tightening,
-     pseudo-cost branching); [Relaxation.disabled] — the default —
-     solves exactly one LP per node *)
-  cuts : Relaxation.config;
 }
 
 let default_options =
@@ -35,10 +30,8 @@ let default_options =
     log_progress = false;
     interrupt = (fun () -> false);
     backend = None;
-    warm_start = true;
     jobs = Engine.Jobs.default ();
     deadline = None;
-    cuts = Relaxation.of_env Relaxation.disabled;
   }
 
 type outcome = Optimal | Feasible | No_incumbent | Infeasible | Unbounded
@@ -129,69 +122,6 @@ let mip_gap_of ~objective ~bound =
   if Float.is_nan objective || Float.is_nan bound then Float.nan
   else Float.abs (bound -. objective) /. Float.max 1e-9 (Float.abs objective)
 
-(* The relaxation pipeline around one node's LP: solve, then while the
-   relaxation stays fractional alternate cut-separation rounds with one
-   bound-tightening pass, re-solving (dual simplex, basis kept warm by
-   the backends' append-row machinery) after every change. [None] means
-   interval propagation emptied a box — the node is infeasible. With
-   the pipeline disabled ([mgr = None]) this is exactly one LP solve.
-   Node-local tightenings are registered in [applied] so the next
-   node's [apply_overrides] resets them to root bounds. *)
-let refine_node ~opts ~mgr ~int_vars ~sos ~applied ~prunable ~on_cut ~bt be
-    ~depth =
-  let solve_lp () =
-    if opts.warm_start then Backend.resolve ?deadline:opts.deadline be
-    else Backend.solve_fresh ?deadline:opts.deadline be
-  in
-  match mgr with
-  | None -> Some (solve_lp ())
-  | Some mgr ->
-      let cfg = Relaxation.config mgr in
-      let budget =
-        if depth = 0 then cfg.Relaxation.max_rounds
-        else if depth <= cfg.Relaxation.max_depth then
-          cfg.Relaxation.node_rounds
-        else 0
-      in
-      let round = ref 0 and tightened = ref false in
-      let rec go () =
-        let sol = solve_lp () in
-        match sol.Simplex.status with
-        | Simplex.Optimal when not (prunable sol.Simplex.objective) -> (
-            match
-              find_violation ~int_tol:opts.int_tol ~sos_tol:opts.sos_tol
-                ~int_vars ~sos sol.Simplex.primal
-            with
-            | No_violation -> Some sol
-            | _ ->
-                if
-                  !round < budget
-                  && Relaxation.separate mgr be ~primal:sol.Simplex.primal
-                       ?on_cut ()
-                     > 0
-                then begin
-                  incr round;
-                  go ()
-                end
-                else if cfg.Relaxation.tighten && not !tightened then begin
-                  tightened := true;
-                  match Relaxation.tighten mgr be with
-                  | `Infeasible -> None
-                  | `Tightened [] -> Some sol
-                  | `Tightened changes ->
-                      List.iter
-                        (fun (v, lo, hi) ->
-                          Backend.set_bounds be v ~lb:lo ~ub:hi;
-                          Hashtbl.replace applied v ())
-                        changes;
-                      bt := !bt + List.length changes;
-                      go ()
-                end
-                else Some sol)
-        | _ -> Some sol
-      in
-      go ()
-
 (* ------------------------------------------------------------------ *)
 (* Tree search                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -207,22 +137,14 @@ type node = {
   overrides : (int * float * float) list;
   depth : int;
   basis : Simplex.basis_snapshot option;
-  (* cut-pool generation the basis snapshot was taken at: a thief
-     replays the pool up to [gen] (or pads the snapshot if it is
-     already past it) before installing, so the snapshot's row layout
-     always matches the backend it lands in *)
-  gen : int;
-  (* the branch that created this node — (var, went up, fractional
-     distance, parent bound) — fuels pseudo-cost learning *)
-  origin : (int * bool * float * float) option;
 }
 
-let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
+let solve ?pool ?(options = default_options) ?primal_heuristic
     ?(on_incumbent = fun _ -> ()) model =
   let jobs = Engine.Jobs.clamp options.jobs in
   (* a snapshot is only ever installed on a stolen node, and a lone
      worker never steals *)
-  let snapshots = options.warm_start && jobs > 1 in
+  let snapshots = jobs > 1 in
   let dir, _ = Model.objective model in
   let maximize = dir = Model.Maximize in
   let sf = Standard_form.of_model model in
@@ -231,13 +153,6 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
   let root_ub = Array.init n (Model.var_ub model) in
   let int_vars = Model.integer_vars model in
   let sos = Model.sos1_groups model in
-  (* one shared relaxation manager: the cut pool is the only mutable
-     part and is mutex-protected; every worker holds a pool prefix *)
-  let mgr =
-    if options.cuts.Relaxation.enabled then
-      Some (Relaxation.create options.cuts ~sf ~int_vars ~sos)
-    else None
-  in
   let start = now () in
   let prio bound = if maximize then bound else -.bound in
   let unprio p = if maximize then p else -.p in
@@ -340,8 +255,6 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
   let worker wid =
     let be = Backend.create ?kind:options.backend sf in
     let applied = Hashtbl.create 64 in
-    let pc = Relaxation.pseudocost n in
-    let bt = ref 0 in
     (* [process] expands one in-flight node and then {e plunges}: it
        keeps one child in hand (depth-first) and heaps the sibling for
        later or for thieves. Pure best-bound order never reaches a leaf
@@ -367,25 +280,12 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
            subtree: install the parent basis that was shipped with it
            instead of warm-starting from whatever this worker solved
            last *)
-        if stolen && options.warm_start then (
+        if stolen then (
           match nd.basis with
-          | Some snap ->
-              let snap =
-                match mgr with
-                | Some m -> Relaxation.sync_snapshot m be ~gen:nd.gen snap
-                | None -> snap
-              in
-              ignore (Backend.install_basis be snap : bool)
+          | Some snap -> ignore (Backend.install_basis be snap : bool)
           | None -> ());
         apply_overrides be applied ~root_lb ~root_ub nd.overrides;
-        match
-          refine_node ~opts:options ~mgr ~int_vars ~sos ~applied ~prunable
-            ~on_cut ~bt be ~depth:nd.depth
-        with
-        | None ->
-            (* tightening emptied a box: node infeasible *)
-            Node_pool.finish npool ~worker:wid
-        | Some sol -> (
+        let sol = Backend.resolve ?deadline:options.deadline be in
         match sol.Simplex.status with
         | Simplex.Infeasible -> Node_pool.finish npool ~worker:wid
         | Simplex.Unbounded ->
@@ -407,13 +307,6 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
               best_root_bound := bound;
               Mutex.unlock mu
             end;
-            (match (nd.origin, mgr) with
-            | Some (v, up, dist, pbound), Some _ ->
-                let delta =
-                  if maximize then pbound -. bound else bound -. pbound
-                in
-                Relaxation.pc_record pc v ~up ~delta ~dist
-            | _ -> ());
             if prunable bound then Node_pool.finish npool ~worker:wid
             else begin
               match
@@ -435,16 +328,11 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
                     if snapshots then Some (Backend.snapshot_basis be)
                     else None
                   in
-                  let gen =
-                    match mgr with Some _ -> Backend.num_cuts be | None -> 0
-                  in
-                  let mk ?origin extra =
+                  let mk extra =
                     {
                       overrides = nd.overrides @ extra;
                       depth = nd.depth + 1;
                       basis = snap;
-                      gen;
-                      origin;
                     }
                   in
                   let plunge child =
@@ -452,77 +340,42 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
                       ~prio:(prio bound);
                     process child false
                   in
-                  let branch_fractional v value prefer_down ~origin =
-                    let lo = Backend.get_lb be v
-                    and hi = Backend.get_ub be v in
-                    let down = Float.floor value and up = Float.ceil value in
-                    let dn_ok = down >= lo -. 1e-9
-                    and up_ok = up <= hi +. 1e-9 in
-                    let dn_nd =
-                      mk
-                        ?origin:
-                          (if origin then
-                             Some (v, false, value -. down, bound)
-                           else None)
-                        [ (v, lo, down) ]
-                    and up_nd =
-                      mk
-                        ?origin:
-                          (if origin then Some (v, true, up -. value, bound)
-                           else None)
-                        [ (v, up, hi) ]
-                    in
-                    if dn_ok && up_ok then begin
-                      (* dive into the preferred child — nearer integer
-                         for the legacy rule, smaller estimated
-                         degradation under pseudo-costs — heap the other *)
-                      let keep, other =
-                        if prefer_down then (dn_nd, up_nd)
-                        else (up_nd, dn_nd)
-                      in
-                      Node_pool.push npool ~worker:wid ~prio:(prio bound)
-                        other;
-                      plunge keep
-                    end
-                    else if dn_ok then plunge dn_nd
-                    else if up_ok then plunge up_nd
-                    else Node_pool.finish npool ~worker:wid
-                  in
-                  let legacy viol =
-                    match viol with
-                    | No_violation -> assert false
-                    | Fractional (v, value) ->
-                        branch_fractional v value
-                          (value -. Float.floor value
-                          <= Float.ceil value -. value)
-                          ~origin:false
-                    | Sos_violated (group, arg_max) ->
-                        let biggest = group.(arg_max) in
-                        Node_pool.push npool ~worker:wid ~prio:(prio bound)
-                          (mk [ (biggest, 0., 0.) ]);
-                        let others =
-                          group |> Array.to_list
-                          |> List.filteri (fun i _ -> i <> arg_max)
-                          |> List.map (fun v -> (v, 0., 0.))
+                  match viol with
+                  | No_violation -> assert false
+                  | Fractional (v, value) ->
+                      let lo = Backend.get_lb be v
+                      and hi = Backend.get_ub be v in
+                      let down = Float.floor value and up = Float.ceil value in
+                      let dn_ok = down >= lo -. 1e-9
+                      and up_ok = up <= hi +. 1e-9 in
+                      let dn_nd = mk [ (v, lo, down) ]
+                      and up_nd = mk [ (v, up, hi) ] in
+                      if dn_ok && up_ok then begin
+                        (* dive into the nearer integer, heap the other *)
+                        let keep, other =
+                          if value -. down <= up -. value then (dn_nd, up_nd)
+                          else (up_nd, dn_nd)
                         in
-                        (* dive on the branch that keeps the dominant
-                           variable of the violated group *)
-                        plunge (mk others)
-                  in
-                  match mgr with
-                  | Some mgrv -> (
-                      match
-                        Relaxation.select_branch mgrv pc be
-                          ?deadline:options.deadline
-                          ~probes:options.warm_start ~maximize
-                          ~parent_bound:bound ~int_tol:options.int_tol
-                          sol.Simplex.primal
-                      with
-                      | Some (v, value, prefer_down) ->
-                          branch_fractional v value prefer_down ~origin:true
-                      | None -> legacy viol)
-                  | None -> legacy viol)
-            end)
+                        Node_pool.push npool ~worker:wid ~prio:(prio bound)
+                          other;
+                        plunge keep
+                      end
+                      else if dn_ok then plunge dn_nd
+                      else if up_ok then plunge up_nd
+                      else Node_pool.finish npool ~worker:wid
+                  | Sos_violated (group, arg_max) ->
+                      let biggest = group.(arg_max) in
+                      Node_pool.push npool ~worker:wid ~prio:(prio bound)
+                        (mk [ (biggest, 0., 0.) ]);
+                      let others =
+                        group |> Array.to_list
+                        |> List.filteri (fun i _ -> i <> arg_max)
+                        |> List.map (fun v -> (v, 0., 0.))
+                      in
+                      (* dive on the branch that keeps the dominant
+                         variable of the violated group *)
+                      plunge (mk others))
+            end
       end
     in
     (* limits are polled in [process] only; once they stop the search
@@ -549,13 +402,11 @@ let solve ?pool ?(options = default_options) ?primal_heuristic ?on_cut
         let bt = Printexc.get_raw_backtrace () in
         ignore (Atomic.compare_and_set failure None (Some (e, bt)) : bool);
         Node_pool.stop npool);
-    ( (let s = Backend.stats be in
-       { s with Simplex.bounds_tightened = !bt }),
-      Backend.total_iterations be )
+    (Backend.stats be, Backend.total_iterations be)
   in
   Node_pool.push npool ~worker:0
     ~prio:(prio (if maximize then infinity else neg_infinity))
-    { overrides = []; depth = 0; basis = None; gen = 0; origin = None };
+    { overrides = []; depth = 0; basis = None };
   let run_workers pool =
     let futs =
       List.init jobs (fun wid -> Engine.Pool.submit pool (fun () -> worker wid))

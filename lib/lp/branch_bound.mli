@@ -6,6 +6,15 @@
     complementary slackness (§3.1). Branching only ever tightens variable
     bounds, so every node is warm-started with the dual simplex.
 
+    Each node is one LP: a {!Backend.resolve} from the basis already
+    loaded (or, for a stolen node, from its parent's shipped basis),
+    then a branch. A fractional integer variable splits into its floor
+    and ceiling children, and the search dives into the nearer one. A
+    violated SOS1 group splits into "the dominant member is zero" and
+    "every other member is zero", and the search dives into the
+    latter. SOS1 branching plus early incumbents is what the paper's
+    MILP solves rely on (§3.3).
+
     The search mirrors the behaviours §3.3 exploits in commercial solvers:
     it reports incumbents as they are found (via [on_incumbent] and the
     incumbent trace), exposes the primal–dual gap, and stops early when
@@ -47,11 +56,6 @@ type options = {
   backend : Backend.kind option;
       (** LP engine for node relaxations; [None] (the default) resolves
           {!Backend.default} at solve time *)
-  warm_start : bool;
-      (** when true (the default) every child node re-solves with the
-          dual simplex from the parent's basis; false forces a cold
-          from-scratch solve per node — only useful for measuring what
-          basis reuse buys *)
   jobs : int;
       (** worker domains for the tree search, clamped to
           [1 .. ]{!Repro_engine.Jobs.max_jobs}. Defaults to
@@ -72,19 +76,6 @@ type options = {
           can inspect {!Repro_resilience.Deadline.tripped} afterwards to
           learn which budget fired; {!Solver.solve_bounded} does exactly
           that *)
-  cuts : Relaxation.config;
-      (** the relaxation pipeline: each node runs solve → separate
-          (Gomory mixed-integer + SOS1 disjunctive cuts into a shared
-          deduplicating {!Cut_pool}) → tighten (node-level interval
-          propagation, {!Presolve.tighten_intervals}) → branch
-          (pseudo-cost/reliability selection). The default is
-          {!Relaxation.disabled} — exactly one LP solve per node —
-          unless the [REPRO_CUTS]
-          environment variable forces the gate ([1] on, [0] off).
-          With [jobs > 1] the pool is shared: cuts are appended to each
-          worker in pool order only, and basis snapshots carry their
-          pool generation, so any job count proves the same optimum
-          (node counts may differ; cut timing is scheduler-dependent) *)
 }
 
 val default_options : options
@@ -154,17 +145,11 @@ type result = {
 
     [on_incumbent] observes every incumbent improvement; with [jobs > 1]
     it is invoked under the search's incumbent lock (improvements are
-    serialized and strictly monotone).
-
-    [on_cut] observes every cut accepted into the shared pool (after
-    deduplication) — the hook the property tests use to check that no
-    separated cut ever cuts off a known integer-feasible witness. With
-    [jobs > 1] it runs on worker domains and must be thread-safe. *)
+    serialized and strictly monotone). *)
 val solve :
   ?pool:Repro_engine.Pool.t ->
   ?options:options ->
   ?primal_heuristic:(float array -> (float * float array option) option) ->
-  ?on_cut:(Cut_pool.cut -> unit) ->
   ?on_incumbent:(float -> unit) ->
   Model.t ->
   result

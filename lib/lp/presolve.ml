@@ -267,26 +267,24 @@ let reduce original =
         }
 
 (* ------------------------------------------------------------------ *)
-(* Reusable in-place interval propagation                              *)
+(* Interval propagation for big-M derivation                           *)
 (* ------------------------------------------------------------------ *)
 
 type row = { terms : (int * float) array; sense : Model.sense; rhs : float }
 
-(* Full row-implied bound tightening over [lb]/[ub], edited in place:
-   for each row and each of its variables, the residual activity of the
-   other variables bounds what this one can contribute. Unlike [reduce]
-   (a build-time Model -> Model rewrite), this pass is representation-
-   agnostic and cheap enough to run per branch-and-bound node — the
-   "tighten" stage of the relaxation pipeline — and to sharpen the
-   intervals big-M derivation consumes. Infinite contributions are
-   counted, not summed, so a single unbounded variable still receives
-   the bound implied by its (finite) co-variables. *)
-let tighten_intervals ?(max_rounds = 4) ~rows ~integer ~lb ~ub () =
-  let tightened = ref 0 in
+(* Full row-implied bound tightening over [lb]/[ub], edited in place,
+   for at most four fixed-point rounds: for each row and each of its
+   variables, the residual activity of the other variables bounds what
+   this one can contribute; integer variables round to the nearest
+   contained integer. Infinite contributions are counted, not summed,
+   so a single unbounded variable still receives the bound implied by
+   its (finite) co-variables. Returns false when propagation empties a
+   box or a row. *)
+let tighten_intervals ~rows ~integer ~lb ~ub =
   try
     let changed = ref true in
     let rounds = ref 0 in
-    while !changed && !rounds < max_rounds do
+    while !changed && !rounds < 4 do
       changed := false;
       incr rounds;
       Array.iter
@@ -333,7 +331,6 @@ let tighten_intervals ?(max_rounds = 4) ~rows ~integer ~lb ~ub () =
                 in
                 if x < ub.(v) -. tol then begin
                   ub.(v) <- x;
-                  incr tightened;
                   changed := true;
                   if lb.(v) > ub.(v) +. 1e-7 then raise Infeasible_found
                 end
@@ -342,7 +339,6 @@ let tighten_intervals ?(max_rounds = 4) ~rows ~integer ~lb ~ub () =
                 let x = if integer.(v) then Float.ceil (x -. 1e-7) else x in
                 if x > lb.(v) +. tol then begin
                   lb.(v) <- x;
-                  incr tightened;
                   changed := true;
                   if lb.(v) > ub.(v) +. 1e-7 then raise Infeasible_found
                 end
@@ -366,8 +362,8 @@ let tighten_intervals ?(max_rounds = 4) ~rows ~integer ~lb ~ub () =
             terms)
         rows
     done;
-    `Tightened !tightened
-  with Infeasible_found -> `Infeasible
+    true
+  with Infeasible_found -> false
 
 let model_rows model =
   Array.init (Model.num_constrs model) (fun i ->
@@ -394,17 +390,14 @@ let var_intervals model =
             | Model.Binary | Model.Integer -> true
             | Model.Continuous -> false)
       in
-      match
-        tighten_intervals ~rows:(model_rows red.model) ~integer ~lb ~ub ()
-      with
-      | `Infeasible -> None
-      | `Tightened _ ->
-          Some
-            (Array.mapi
-               (fun v mapped ->
-                 if mapped >= 0 then (lb.(mapped), ub.(mapped))
-                 else (red.fixed_values.(v), red.fixed_values.(v)))
-               red.var_map))
+      if tighten_intervals ~rows:(model_rows red.model) ~integer ~lb ~ub then
+        Some
+          (Array.mapi
+             (fun v mapped ->
+               if mapped >= 0 then (lb.(mapped), ub.(mapped))
+               else (red.fixed_values.(v), red.fixed_values.(v)))
+             red.var_map)
+      else None)
 
 let restore red reduced_primal =
   Array.mapi

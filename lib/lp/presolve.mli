@@ -35,33 +35,10 @@ val restore : t -> float array -> float array
 (** [restore red reduced_primal] rebuilds a primal assignment over the
     original model's variables. *)
 
-(** A constraint row in representation-agnostic form for
-    {!tighten_intervals}: sparse [terms] over caller-chosen variable
-    indices, a sense, and a right-hand side. *)
-type row = { terms : (int * float) array; sense : Model.sense; rhs : float }
-
-val tighten_intervals :
-  ?max_rounds:int ->
-  rows:row array ->
-  integer:bool array ->
-  lb:float array ->
-  ub:float array ->
-  unit ->
-  [ `Tightened of int | `Infeasible ]
-(** Fixed-point row-implied bound tightening, editing [lb]/[ub] in
-    place: for every row and every variable in it, the residual
-    activity of its co-variables bounds what it can contribute;
-    integer variables additionally round to the nearest contained
-    integer. Unlike {!reduce} this is a reusable node-level pass — the
-    branch-and-bound relaxation pipeline runs it under each node's
-    branching bounds, and {!var_intervals} uses it to sharpen the boxes
-    big-M derivation consumes. Returns the number of bound changes, or
-    [`Infeasible] when propagation empties a box or a row (the caller
-    prunes the node). [max_rounds] caps the fixed-point iteration
-    (default 4). *)
-
 val var_intervals : Model.t -> (float * float) array option
-(** Fixed-point interval propagation only: the tightened [(lb, ub)] of
+(** Fixed-point interval propagation only: {!reduce}, then row-implied
+    bound tightening on the reduced model (at most four rounds; integer
+    variables round inward). The result is the tightened [(lb, ub)] of
     every variable, indexed in the {e original} model's variable space.
     Every feasible point of the model lies inside these boxes, so they
     are valid activity bounds for big-M derivation (the follower layer's

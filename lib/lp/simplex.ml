@@ -26,9 +26,6 @@ type stats = {
   rhs_peeled : int;
   presolve_rows : int;
   presolve_cols : int;
-  cuts_added : int;
-  cuts_active : int;
-  bounds_tightened : int;
 }
 
 let empty_stats =
@@ -45,9 +42,6 @@ let empty_stats =
     rhs_peeled = 0;
     presolve_rows = 0;
     presolve_cols = 0;
-    cuts_added = 0;
-    cuts_active = 0;
-    bounds_tightened = 0;
   }
 
 let add_stats a b =
@@ -64,9 +58,6 @@ let add_stats a b =
     rhs_peeled = a.rhs_peeled + b.rhs_peeled;
     presolve_rows = a.presolve_rows + b.presolve_rows;
     presolve_cols = a.presolve_cols + b.presolve_cols;
-    cuts_added = a.cuts_added + b.cuts_added;
-    cuts_active = a.cuts_active + b.cuts_active;
-    bounds_tightened = a.bounds_tightened + b.bounds_tightened;
   }
 
 let pp_stats ppf s =
@@ -78,10 +69,7 @@ let pp_stats ppf s =
     Fmt.pf ppf " batch=%dx%d(-%d peeled)" s.rhs_batch s.rhs_batch_cols
       s.rhs_peeled;
   if s.presolve_rows > 0 || s.presolve_cols > 0 then
-    Fmt.pf ppf " presolve=-%dr/-%dc" s.presolve_rows s.presolve_cols;
-  if s.cuts_added > 0 || s.bounds_tightened > 0 then
-    Fmt.pf ppf " cuts=%d(%d active) tightened=%d" s.cuts_added s.cuts_active
-      s.bounds_tightened
+    Fmt.pf ppf " presolve=-%dr/-%dc" s.presolve_rows s.presolve_cols
 
 (* A basis usable to warm-start any backend on the same standard form:
    which column is basic in each row plus every column's nonbasic anchor,
@@ -103,24 +91,20 @@ type vstat = Basic | At_lower | At_upper | Free_nb
 type t = {
   sf : Standard_form.t;
   n : int;
-  mutable m : int; (* sf.m + appended cut rows *)
-  mutable nt : int;
-  mutable b : float array;
+  m : int;
+  nt : int;
+  b : float array;
       (* per-state right-hand side, seeded from sf.b at create; scenario
          sweeps edit it in place via set_rhs while sf stays shared
          read-only across domains *)
-  mutable tab : float array array; (* m rows x nt columns: B^-1 [A I I] *)
-  mutable d : float array; (* reduced costs, length nt *)
-  mutable cost : float array; (* current phase cost vector, length nt *)
-  mutable basis : int array; (* length m: column basic in each row *)
-  mutable stat : vstat array; (* length nt *)
-  mutable xb : float array; (* length m: values of basic variables *)
-  mutable lb : float array; (* length nt *)
-  mutable ub : float array; (* length nt *)
-  (* appended cut rows (all sense <=, structural terms only); row
-     [sf.m + k] is cuts.(k), its rhs lives in b.(sf.m + k). sf itself
-     stays shared read-only across domains *)
-  mutable cuts : (int * float) array array;
+  tab : float array array; (* m rows x nt columns: B^-1 [A I I] *)
+  d : float array; (* reduced costs, length nt *)
+  cost : float array; (* current phase cost vector, length nt *)
+  basis : int array; (* length m: column basic in each row *)
+  stat : vstat array; (* length nt *)
+  xb : float array; (* length m: values of basic variables *)
+  lb : float array; (* length nt *)
+  ub : float array; (* length nt *)
   mutable solved_once : bool;
   mutable phase2_opt : bool;
       (* last extract left a phase-2 optimal basis and nothing (bounds,
@@ -150,12 +134,6 @@ let residual_tol = 1e-6
 
 let art t i = t.n + t.m + i
 let slack t i = t.n + i
-
-(* Iterate the structural (j, a) terms of row [i]: the shared standard
-   form for original rows, per-state storage for appended cut rows. *)
-let row_iter t i f =
-  if i < t.sf.m then Array.iter f t.sf.rows.(i)
-  else Array.iter f t.cuts.(i - t.sf.m)
 
 let create (sf : Standard_form.t) =
   let n = sf.n and m = sf.m in
@@ -191,7 +169,6 @@ let create (sf : Standard_form.t) =
     xb = Array.make m 0.;
     lb;
     ub;
-    cuts = [||];
     solved_once = false;
     phase2_opt = false;
     iters_total = 0;
@@ -254,7 +231,7 @@ let rebuild_tableau t =
   for i = 0 to t.m - 1 do
     let row = t.tab.(i) in
     Array.fill row 0 t.nt 0.;
-    row_iter t i (fun (j, a) -> row.(j) <- row.(j) +. a);
+    Array.iter (fun (j, a) -> row.(j) <- row.(j) +. a) t.sf.rows.(i);
     row.(slack t i) <- 1.;
     row.(art t i) <- 1.
   done
@@ -264,8 +241,10 @@ let residuals t =
   let r = Array.copy t.b in
   (* walk rows once using sparse storage (cheaper than column walk) *)
   for i = 0 to t.m - 1 do
-    row_iter t i (fun (j, a) ->
-        if t.stat.(j) <> Basic then r.(i) <- r.(i) -. (a *. nb_value t j));
+    Array.iter
+      (fun (j, a) ->
+        if t.stat.(j) <> Basic then r.(i) <- r.(i) -. (a *. nb_value t j))
+      t.sf.rows.(i);
     let s = slack t i in
     if t.stat.(s) <> Basic then r.(i) <- r.(i) -. nb_value t s;
     let a = art t i in
@@ -359,7 +338,7 @@ let residual_error t =
   let worst = ref 0. in
   for i = 0 to t.m - 1 do
     let acc = ref 0. in
-    row_iter t i (fun (j, a) -> acc := !acc +. (a *. x.(j)));
+    Array.iter (fun (j, a) -> acc := !acc +. (a *. x.(j))) t.sf.rows.(i);
     acc := !acc +. x.(slack t i) +. x.(art t i);
     let err = Float.abs (!acc -. t.b.(i)) /. (1. +. Float.abs t.b.(i)) in
     if err > !worst then worst := err
@@ -585,7 +564,7 @@ let start_basis t =
   (* residual with all slacks+artificials nonbasic at 0 *)
   let r = Array.copy t.b in
   for i = 0 to t.m - 1 do
-    row_iter t i (fun (j, a) -> r.(i) <- r.(i) -. (a *. nb_value t j))
+    Array.iter (fun (j, a) -> r.(i) <- r.(i) -. (a *. nb_value t j)) t.sf.rows.(i)
   done;
   Array.fill t.cost 0 t.nt 0.;
   for i = 0 to t.m - 1 do
@@ -971,90 +950,7 @@ let resolve ?iter_limit ?deadline t =
         solve_fresh ~iter_limit ?deadline t
   end
 
-(* ------------------------------------------------------------------ *)
-(* Appended cut rows                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Append cut rows [a^T x <= rhs] (structural terms only) and re-derive
-   the tableau. The canonical contiguous column layout is preserved by
-   remapping: structural and slack columns keep their indices, the
-   artificial block shifts up by the number of new rows, and each new
-   cut slack slots in at [n + m0 + i] basic in its row — so the
-   [slack]/[art] index formulas and every pivot loop stay valid with the
-   updated [m]/[nt]. *)
-let append_rows t new_rows =
-  let k = Array.length new_rows in
-  if k > 0 then begin
-    let n = t.n and m0 = t.m in
-    let m1 = m0 + k in
-    let nt1 = n + m1 + m1 in
-    let shift j = if j >= n + m0 then j + k else j in
-    let b = Array.make m1 0. in
-    Array.blit t.b 0 b 0 m0;
-    Array.iteri (fun i (_, rhs) -> b.(m0 + i) <- rhs) new_rows;
-    t.b <- b;
-    let lb = Array.make nt1 0. and ub = Array.make nt1 0. in
-    let cost = Array.make nt1 0. and d = Array.make nt1 0. in
-    let stat = Array.make nt1 At_lower in
-    for j = 0 to t.nt - 1 do
-      let j' = shift j in
-      lb.(j') <- t.lb.(j);
-      ub.(j') <- t.ub.(j);
-      cost.(j') <- t.cost.(j);
-      d.(j') <- t.d.(j);
-      stat.(j') <- t.stat.(j)
-    done;
-    for i = 0 to k - 1 do
-      let s = n + m0 + i in
-      lb.(s) <- 0.;
-      ub.(s) <- infinity;
-      stat.(s) <- Basic;
-      let a = n + m1 + m0 + i in
-      lb.(a) <- 0.;
-      ub.(a) <- 0.;
-      stat.(a) <- At_lower
-    done;
-    t.lb <- lb;
-    t.ub <- ub;
-    t.cost <- cost;
-    t.d <- d;
-    t.stat <- stat;
-    let basis = Array.make m1 (-1) in
-    for i = 0 to m0 - 1 do
-      basis.(i) <- (if t.basis.(i) >= 0 then shift t.basis.(i) else -1)
-    done;
-    for i = 0 to k - 1 do
-      basis.(m0 + i) <- n + m0 + i
-    done;
-    t.basis <- basis;
-    let xb = Array.make m1 0. in
-    Array.blit t.xb 0 xb 0 m0;
-    t.xb <- xb;
-    t.cuts <- Array.append t.cuts (Array.map fst new_rows);
-    t.m <- m1;
-    t.nt <- nt1;
-    t.tab <- Array.init m1 (fun _ -> Array.make nt1 0.);
-    t.phase2_opt <- false;
-    (* the old basis + new slacks is nonsingular iff the old basis was;
-       a singular refactor forces the next solve from scratch *)
-    if t.solved_once && not (refactor t) then t.solved_once <- false
-  end
-
 let num_rows t = t.m
-let num_cuts t = Array.length t.cuts
-let basic_var t i = t.basis.(i)
-let basic_value t i = t.xb.(i)
-
-(* Nonbasic entries of tableau row [i] over structural + slack columns
-   (B^-1 A restricted to the columns a Gomory derivation shifts). *)
-let tableau_row t i =
-  let row = t.tab.(i) in
-  let acc = ref [] in
-  for j = t.n + t.m - 1 downto 0 do
-    let a = row.(j) in
-    if t.stat.(j) <> Basic && Float.abs a > 1e-11 then acc := (j, a) :: !acc
-  done;
-  !acc
 
 let set_rhs t i v =
   if i < 0 || i >= t.m then invalid_arg "Simplex.set_rhs";
@@ -1152,46 +1048,11 @@ let decode_stat = function
   | 2 -> At_upper
   | _ -> Free_nb
 
-(* Encoded status of any column (0 basic, 1 lower, 2 upper, 3 free) —
-   used by the generic cut separators through the backend interface. *)
-let col_stat t j = encode_stat t.stat.(j)
-
 let snapshot_basis t =
   {
     snap_basis = Array.copy t.basis;
     snap_stat = Array.map encode_stat t.stat;
   }
-
-(* Extend a basis snapshot taken at a state with fewer cut rows to a
-   state with [rows] rows: the extra cut slacks become basic in their
-   own rows (always a consistent, nonsingular extension) and the
-   artificial block's indices shift to the wider layout. Shared by both
-   backends, so cross-worker installs in the parallel tree can sync cut
-   pools of different generations. *)
-let pad_snapshot ~n snap ~rows =
-  let m0 = Array.length snap.snap_basis in
-  if rows < m0 then invalid_arg "Simplex.pad_snapshot: shrinking";
-  if rows = m0 then snap
-  else begin
-    let k = rows - m0 in
-    let basis = Array.make rows 0 in
-    for i = 0 to m0 - 1 do
-      let b = snap.snap_basis.(i) in
-      basis.(i) <- (if b >= n + m0 then b + k else b)
-    done;
-    for i = 0 to k - 1 do
-      basis.(m0 + i) <- n + m0 + i
-    done;
-    let stat = Array.make (n + (2 * rows)) 1 in
-    Array.blit snap.snap_stat 0 stat 0 (n + m0);
-    for i = 0 to m0 - 1 do
-      stat.(n + rows + i) <- snap.snap_stat.(n + m0 + i)
-    done;
-    for i = 0 to k - 1 do
-      stat.(n + m0 + i) <- 0
-    done;
-    { snap_basis = basis; snap_stat = stat }
-  end
 
 let install_basis t snap =
   if
@@ -1215,12 +1076,6 @@ let install_basis t snap =
   end
 
 let stats t =
-  (* a cut is active when its slack sits nonbasic at its (zero) lower
-     bound in the last basis, i.e. the cut is binding there *)
-  let active = ref 0 in
-  for i = t.sf.m to t.m - 1 do
-    if t.stat.(slack t i) <> Basic then incr active
-  done;
   {
     iterations = t.iters_total;
     refactorizations = t.refactors;
@@ -1234,9 +1089,6 @@ let stats t =
     rhs_peeled = t.rhs_peeled;
     presolve_rows = 0;
     presolve_cols = 0;
-    cuts_added = Array.length t.cuts;
-    cuts_active = !active;
-    bounds_tightened = 0;
   }
 
 let pp_state ppf t =

@@ -34,10 +34,7 @@ val pp_status : Format.formatter -> status -> unit
     the batch into the per-column dual-simplex fallback (or a full
     re-solve). [presolve_rows]/[presolve_cols] are filled in by
     {!Solver.solve} when presolve ran: rows dropped and variables fixed
-    before the model reached the engine. [cuts_added]/[cuts_active]
-    count appended cut rows ({!append_rows}) and how many were binding
-    in the last basis; [bounds_tightened] is filled in by
-    {!Branch_bound} when node-level interval propagation ran. *)
+    before the model reached the engine. *)
 type stats = {
   iterations : int;
   refactorizations : int;
@@ -51,9 +48,6 @@ type stats = {
   rhs_peeled : int;
   presolve_rows : int;
   presolve_cols : int;
-  cuts_added : int;
-  cuts_active : int;
-  bounds_tightened : int;
 }
 
 val empty_stats : stats
@@ -139,36 +133,8 @@ val resolve_rhs_batch :
 (** Total pivots performed over the lifetime of this state. *)
 val total_iterations : t -> int
 
-(** {2 Appended cut rows}
-
-    [append_rows t rows] appends each [(terms, rhs)] as a new row
-    [terms . x <= rhs] (structural columns only). The column layout is
-    remapped in place — slacks keep their indices, artificials shift —
-    and each cut's fresh slack starts basic in its row, so an optimal
-    basis stays dual feasible and the next {!resolve} restores primal
-    feasibility by dual simplex instead of solving from scratch. *)
-val append_rows : t -> ((int * float) array * float) array -> unit
-
-(** Current number of rows (original + appended cuts). *)
+(** Number of constraint rows — the length of every RHS vector. *)
 val num_rows : t -> int
-
-(** Number of appended cut rows. *)
-val num_cuts : t -> int
-
-(** [basic_var t i] / [basic_value t i]: the column basic in row [i] of
-    the last factorized basis and its current value. *)
-val basic_var : t -> int -> int
-
-val basic_value : t -> int -> float
-
-(** Encoded status of any column (0 basic, 1 at-lower, 2 at-upper,
-    3 free) — the alphabet {!basis_snapshot} uses. *)
-val col_stat : t -> int -> int
-
-(** Nonbasic [(column, coefficient)] entries of tableau row [i] —
-    row [i] of [B^-1 A] over structural and slack columns — the raw
-    material for Gomory cut derivation. Only meaningful after a solve. *)
-val tableau_row : t -> int -> (int * float) list
 
 (** Capture the current basis + statuses for later {!install_basis} on
     this or another state over the same standard form. *)
@@ -179,15 +145,6 @@ val snapshot_basis : t -> basis_snapshot
     from scratch) if the snapshot does not fit this state or its basis
     is singular. *)
 val install_basis : t -> basis_snapshot -> bool
-
-(** [pad_snapshot ~n snap ~rows] extends a snapshot taken at a state
-    with fewer cut rows to one with [rows] rows: the extra cut slacks
-    become basic in their own rows (always a consistent, nonsingular
-    extension) and the artificial block's indices shift to the wider
-    layout. Used by the parallel tree to install a donor's basis after
-    syncing a newer cut-pool generation.
-    @raise Invalid_argument if [rows] is smaller than the snapshot. *)
-val pad_snapshot : n:int -> basis_snapshot -> rows:int -> basis_snapshot
 
 (** Lifetime counters for this state. *)
 val stats : t -> stats

@@ -14,30 +14,23 @@ type vstat = Basic | At_lower | At_upper | Free_nb
 type t = {
   sf : Standard_form.t;
   n : int;
-  mutable m : int; (* sf.m + appended cut rows *)
-  mutable nt : int;
-  mutable b : float array;
+  m : int;
+  nt : int;
+  b : float array;
       (* per-state right-hand side, seeded from sf.b at create; scenario
          sweeps edit it in place via set_rhs while sf stays shared
          read-only across domains *)
   cols : Sparse_matrix.t;
   bas : Basis.t;
-  mutable d : float array; (* reduced costs, repriced every iteration *)
-  mutable cost : float array; (* current phase cost vector, length nt *)
-  mutable basis : int array; (* length m: column basic in each row *)
-  mutable stat : vstat array; (* length nt *)
-  mutable xb : float array; (* length m: values of basic variables *)
-  mutable lb : float array; (* length nt *)
-  mutable ub : float array; (* length nt *)
-  mutable y : float array; (* btran workspace (duals / dual-step rho) *)
-  mutable w : float array; (* ftran workspace (entering column) *)
-  (* appended cut rows (all sense <=, structural terms only); row
-     [sf.m + k] is cuts.(k), its rhs lives in b.(sf.m + k). cut_cols.(j)
-     is the transposed view: the (cut row, coef) entries of structural
-     column [j], folded into every column walk alongside the shared CSC
-     store *)
-  mutable cuts : (int * float) array array;
-  cut_cols : (int * float) list array; (* length n, newest first *)
+  d : float array; (* reduced costs, repriced every iteration *)
+  cost : float array; (* current phase cost vector, length nt *)
+  basis : int array; (* length m: column basic in each row *)
+  stat : vstat array; (* length nt *)
+  xb : float array; (* length m: values of basic variables *)
+  lb : float array; (* length nt *)
+  ub : float array; (* length nt *)
+  y : float array; (* btran workspace (duals / dual-step rho) *)
+  w : float array; (* ftran workspace (entering column) *)
   mutable solved_once : bool;
   mutable phase2_opt : bool;
       (* last extract left a phase-2 optimal basis and nothing (bounds,
@@ -108,8 +101,6 @@ let create (sf : Standard_form.t) =
     ub;
     y = Array.make m 0.;
     w = Array.make m 0.;
-    cuts = [||];
-    cut_cols = Array.make n [];
     solved_once = false;
     phase2_opt = false;
     iters_total = 0;
@@ -133,27 +124,11 @@ let nb_value t j =
   | Free_nb -> 0.
   | Basic -> invalid_arg "nb_value: basic"
 
-(* Iterate the nonzeros of column [j] of the full [A I I] matrix,
-   appended cut rows included. *)
+(* Iterate the nonzeros of column [j] of the full [A I I] matrix. *)
 let iter_col t j f =
-  if j < t.n then begin
-    Sparse_matrix.iter_col t.cols j f;
-    List.iter (fun (i, v) -> f i v) t.cut_cols.(j)
-  end
+  if j < t.n then Sparse_matrix.iter_col t.cols j f
   else if j < t.n + t.m then f (j - t.n) 1.
   else f (j - t.n - t.m) 1.
-
-(* y . A_j for a structural column, cut rows included. *)
-let col_dot t j (y : float array) =
-  (* cut-free states (every LP outside branch-and-bound) stay on the
-     allocation-free CSC dot product; the boxed accumulator below sits
-     in the pricing loop and shows up as minor-GC churn otherwise *)
-  match t.cut_cols.(j) with
-  | [] -> Sparse_matrix.dot_col t.cols j y
-  | cc ->
-      let acc = ref (Sparse_matrix.dot_col t.cols j y) in
-      List.iter (fun (i, v) -> acc := !acc +. (v *. y.(i))) cc;
-      !acc
 
 let set_bounds t j ~lb ~ub =
   if j < 0 || j >= t.n then invalid_arg "Sparse_simplex.set_bounds";
@@ -188,7 +163,7 @@ let price t =
   Basis.btran t.bas y;
   for j = 0 to t.n - 1 do
     if t.stat.(j) = Basic then t.d.(j) <- 0.
-    else t.d.(j) <- t.cost.(j) -. col_dot t j y
+    else t.d.(j) <- t.cost.(j) -. Sparse_matrix.dot_col t.cols j y
   done;
   for i = 0 to t.m - 1 do
     let s = slack t i and a = art t i in
@@ -604,7 +579,7 @@ let dual_step t =
     rho.(r) <- 1.;
     Basis.btran t.bas rho;
     let alpha j =
-      if j < t.n then col_dot t j rho
+      if j < t.n then Sparse_matrix.dot_col t.cols j rho
       else if j < t.n + t.m then rho.(j - t.n)
       else rho.(j - t.n - t.m)
     in
@@ -743,127 +718,7 @@ let resolve ?iter_limit ?deadline t =
         solve_fresh ~iter_limit ?deadline t
   end
 
-(* ------------------------------------------------------------------ *)
-(* Appended cut rows                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Same remapping contract as the dense backend (structural and slack
-   columns keep their indices, artificials shift, each cut's fresh slack
-   starts basic in its own row) — but eta-file-preserving: instead of
-   refactorizing, each appended row pushes one ROW eta whose off-pivot
-   entries are the cut's coefficients on the variables basic in the
-   existing rows. That is the exact update factor for the grown basis,
-   so the warm factorization survives the append and the next [resolve]
-   restores primal feasibility by dual simplex from it. *)
-let append_rows t new_rows =
-  let k = Array.length new_rows in
-  if k > 0 then begin
-    let n = t.n and m0 = t.m in
-    let m1 = m0 + k in
-    let nt1 = n + m1 + m1 in
-    let shift j = if j >= n + m0 then j + k else j in
-    let b = Array.make m1 0. in
-    Array.blit t.b 0 b 0 m0;
-    Array.iteri (fun i (_, rhs) -> b.(m0 + i) <- rhs) new_rows;
-    t.b <- b;
-    let lb = Array.make nt1 0. and ub = Array.make nt1 0. in
-    let cost = Array.make nt1 0. and d = Array.make nt1 0. in
-    let stat = Array.make nt1 At_lower in
-    for j = 0 to t.nt - 1 do
-      let j' = shift j in
-      lb.(j') <- t.lb.(j);
-      ub.(j') <- t.ub.(j);
-      cost.(j') <- t.cost.(j);
-      d.(j') <- t.d.(j);
-      stat.(j') <- t.stat.(j)
-    done;
-    for i = 0 to k - 1 do
-      let s = n + m0 + i in
-      lb.(s) <- 0.;
-      ub.(s) <- infinity;
-      stat.(s) <- Basic;
-      let a = n + m1 + m0 + i in
-      lb.(a) <- 0.;
-      ub.(a) <- 0.;
-      stat.(a) <- At_lower
-    done;
-    t.lb <- lb;
-    t.ub <- ub;
-    t.cost <- cost;
-    t.d <- d;
-    t.stat <- stat;
-    (* row position of each basic structural variable, for the row etas *)
-    let row_of = Hashtbl.create 64 in
-    if t.solved_once then
-      for i = 0 to m0 - 1 do
-        if t.basis.(i) >= 0 && t.basis.(i) < n then
-          Hashtbl.replace row_of t.basis.(i) i
-      done;
-    let basis = Array.make m1 (-1) in
-    for i = 0 to m0 - 1 do
-      basis.(i) <- (if t.basis.(i) >= 0 then shift t.basis.(i) else -1)
-    done;
-    for i = 0 to k - 1 do
-      basis.(m0 + i) <- n + m0 + i
-    done;
-    t.basis <- basis;
-    let xb = Array.make m1 0. in
-    Array.blit t.xb 0 xb 0 m0;
-    t.xb <- xb;
-    if Array.length t.y < m1 then begin
-      t.y <- Array.make (Int.max m1 (2 * Array.length t.y)) 0.;
-      t.w <- Array.make (Int.max m1 (2 * Array.length t.w)) 0.
-    end;
-    Basis.grow t.bas ~m:m1;
-    if t.solved_once then
-      Array.iteri
-        (fun i (terms, _) ->
-          let entries =
-            Array.fold_left
-              (fun acc (j, a) ->
-                match Hashtbl.find_opt row_of j with
-                | Some p -> (p, a) :: acc
-                | None -> acc)
-              [] terms
-          in
-          (* no basic var carries the cut: the new row is already an
-             identity row of the grown factorization, no eta needed *)
-          if entries <> [] then
-            Basis.push_row t.bas ~r:(m0 + i) ~piv:1. entries)
-        new_rows;
-    t.cuts <- Array.append t.cuts (Array.map fst new_rows);
-    Array.iteri
-      (fun i (terms, _) ->
-        Array.iter
-          (fun (j, a) -> t.cut_cols.(j) <- (m0 + i, a) :: t.cut_cols.(j))
-          terms)
-      new_rows;
-    t.m <- m1;
-    t.nt <- nt1;
-    t.phase2_opt <- false
-    (* new basic values (cut slacks included) and shifted duals are
-       refreshed by the next solve entry's refresh_xb/price *)
-  end
-
 let num_rows t = t.m
-let num_cuts t = Array.length t.cuts
-let basic_var t i = t.basis.(i)
-let basic_value t i = t.xb.(i)
-
-(* Nonbasic entries of tableau row [i] over structural + slack columns:
-   rho = B^-T e_i (one btran), alpha_j = rho . A_j (sparse dots). *)
-let tableau_row t i =
-  let rho = Array.make t.m 0. in
-  rho.(i) <- 1.;
-  Basis.btran t.bas rho;
-  let acc = ref [] in
-  for j = t.n + t.m - 1 downto 0 do
-    if t.stat.(j) <> Basic then begin
-      let a = if j < t.n then col_dot t j rho else rho.(j - t.n) in
-      if Float.abs a > 1e-11 then acc := (j, a) :: !acc
-    end
-  done;
-  !acc
 
 let set_rhs t i v =
   if i < 0 || i >= t.m then invalid_arg "Sparse_simplex.set_rhs";
@@ -1097,8 +952,6 @@ let decode_stat = function
   | 2 -> At_upper
   | _ -> Free_nb
 
-let col_stat t j = encode_stat t.stat.(j)
-
 let snapshot_basis t : Simplex.basis_snapshot =
   {
     Simplex.snap_basis = Array.copy t.basis;
@@ -1129,10 +982,6 @@ let install_basis t (snap : Simplex.basis_snapshot) =
   end
 
 let stats t : Simplex.stats =
-  let active = ref 0 in
-  for i = t.sf.m to t.m - 1 do
-    if t.stat.(slack t i) <> Basic then incr active
-  done;
   {
     iterations = t.iters_total;
     refactorizations = Basis.refactorizations t.bas;
@@ -1146,9 +995,6 @@ let stats t : Simplex.stats =
     rhs_peeled = t.rhs_peeled;
     presolve_rows = 0;
     presolve_cols = 0;
-    cuts_added = Array.length t.cuts;
-    cuts_active = !active;
-    bounds_tightened = 0;
   }
 
 let pp_state ppf t =

@@ -68,31 +68,8 @@ val resolve_rhs_batch :
 (** Total pivots performed over the lifetime of this state. *)
 val total_iterations : t -> int
 
-(** Append cut rows [terms . x <= rhs] (structural columns only),
-    eta-file-preserving: each new row pushes one row eta — the exact
-    update factor for the grown basis with the cut's slack basic in the
-    new row — so the warm factorization survives the append. Layout
-    contract as in {!Simplex.append_rows}. *)
-val append_rows : t -> ((int * float) array * float) array -> unit
-
-(** Current number of rows (original + appended cuts). *)
+(** Number of constraint rows — the length of every RHS vector. *)
 val num_rows : t -> int
-
-(** Number of appended cut rows. *)
-val num_cuts : t -> int
-
-(** The column basic in row [i] and its current value. *)
-val basic_var : t -> int -> int
-
-val basic_value : t -> int -> float
-
-(** Encoded status of any column (0 basic, 1 at-lower, 2 at-upper,
-    3 free). *)
-val col_stat : t -> int -> int
-
-(** Nonbasic [(column, coefficient)] entries of tableau row [i] —
-    one btran plus sparse column dots. Only meaningful after a solve. *)
-val tableau_row : t -> int -> (int * float) list
 
 (** Capture the current basis + statuses (see
     {!Simplex.basis_snapshot}). *)

@@ -491,10 +491,8 @@ let verbose_stats_line (s : Simplex.stats) =
   Printf.sprintf
     "rhs_ftran=%d rhs_dual=%d rhs_batch=%d rhs_batch_cols=%d rhs_peeled=%d \
      refactorizations=%d etas=%d warm_hits=%d warm_misses=%d \
-     presolve_rows=%d presolve_cols=%d cuts_added=%d cuts_active=%d \
-     bounds_tightened=%d"
+     presolve_rows=%d presolve_cols=%d"
     s.Simplex.rhs_ftran s.Simplex.rhs_dual s.Simplex.rhs_batch
     s.Simplex.rhs_batch_cols s.Simplex.rhs_peeled s.Simplex.refactorizations
     s.Simplex.etas s.Simplex.warm_hits s.Simplex.warm_misses
-    s.Simplex.presolve_rows s.Simplex.presolve_cols s.Simplex.cuts_added
-    s.Simplex.cuts_active s.Simplex.bounds_tightened
+    s.Simplex.presolve_rows s.Simplex.presolve_cols

@@ -116,7 +116,5 @@ val verbose_stats_line : Simplex.stats -> string
     [rhs_batch]/[rhs_batch_cols]/[rhs_peeled] (the batched kernel's
     passes, zero-pivot columns, and dual-fallback peels),
     [refactorizations], [etas],
-    [warm_hits]/[warm_misses], the [presolve_rows]/[presolve_cols]
-    reductions, and the relaxation-pipeline counters
-    [cuts_added]/[cuts_active]/[bounds_tightened] — for
-    [sweep --verbose] and log scraping. *)
+    [warm_hits]/[warm_misses] and the [presolve_rows]/[presolve_cols]
+    reductions — for [sweep --verbose] and log scraping. *)

@@ -349,10 +349,8 @@ let test_bb_primal_heuristic_incumbent () =
   let r = Branch_bound.solve ~primal_heuristic:h m in
   Alcotest.check bb_outcome "outcome" Branch_bound.Optimal r.Branch_bound.outcome;
   check_float "true optimum still found" 7. r.Branch_bound.objective;
-  (* with cuts on (REPRO_CUTS=1) the root Gomory round closes this model
-     to integrality, so no fractional node ever consults the heuristic *)
-  if not Branch_bound.default_options.Branch_bound.cuts.Relaxation.enabled then
-    Alcotest.(check bool) "heuristic called" true !called
+  (* the root relaxation sits at x = 7.5, so the heuristic is consulted *)
+  Alcotest.(check bool) "heuristic called" true !called
 
 let test_bb_incumbent_trace () =
   let m = Model.create () in
@@ -1018,53 +1016,186 @@ let random_sos1_milp =
       else true)
 
 (* ------------------------------------------------------------------ *)
-(* cutting planes (the relaxation pipeline)                            *)
+(* Basis eta file                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let cuts_on_options =
-  { Branch_bound.default_options with cuts = Relaxation.default_enabled }
-
-let eval_cut point (c : Cut_pool.cut) =
-  Array.fold_left
-    (fun acc (v, a) -> acc +. (a *. point.(v)))
-    0. c.Cut_pool.terms
-
-(* Known-answer Gomory case: max x s.t. 2x <= 15, x integer. The root
-   relaxation sits at x = 7.5; the first separation round must derive
-   (the x-space equivalent of) x <= 7 and close the model at the root. *)
-let test_gomory_known_answer () =
-  let model = Model.create () in
-  let x = Model.add_var ~kind:Model.Integer ~ub:100. model in
-  ignore (Model.add_constr model (Linexpr.of_terms [ (x, 2.) ]) Model.Le 15.);
-  Model.set_objective model Model.Maximize (Linexpr.of_terms [ (x, 1.) ]);
-  let cuts = ref [] in
-  let r =
-    Branch_bound.solve ~options:cuts_on_options
-      ~on_cut:(fun c -> cuts := c :: !cuts)
-      model
+(* Replace random columns of an explicit dense basis matrix one pivot at
+   a time, mirror each replacement with [Basis.push], then rebuild the
+   file with [Basis.refactorize]. After every stage ftran must solve
+   [B x = b], btran must solve [B^T y = c], and every column of
+   [ftran_batch] must equal the scalar ftran bit for bit. *)
+let basis_solves_match_dense =
+  let gen =
+    QCheck.Gen.(
+      let* m = int_range 1 7 in
+      let* pivots = int_range 0 12 in
+      let* seed = int_range 0 100_000 in
+      return (m, pivots, seed))
   in
-  Alcotest.(check bool)
-    "optimal" true
-    (r.Branch_bound.outcome = Branch_bound.Optimal);
-  Alcotest.(check (float 1e-6)) "objective" 7. r.Branch_bound.objective;
-  Alcotest.(check int) "closed at the root" 1 r.Branch_bound.nodes;
-  Alcotest.(check bool) "a cut was accepted" true (!cuts <> []);
-  List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        "optimum x=7 survives every cut" true
-        (eval_cut [| 7. |] c <= c.Cut_pool.rhs +. 1e-6))
-    !cuts;
-  Alcotest.(check bool)
-    "fractional root x=7.5 is cut off" true
-    (List.exists (fun c -> eval_cut [| 7.5 |] c > c.Cut_pool.rhs +. 1e-6) !cuts)
+  QCheck.Test.make ~count:200 ~name:"basis ftran/btran solve the dense basis"
+    (QCheck.make gen) (fun (m, pivots, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let rand_vec () =
+        Array.init m (fun _ ->
+            if Random.State.int rng 3 = 0 then 0.
+            else Random.State.float rng 8. -. 4.)
+      in
+      (* bm.(p) is the column sitting at basis position p *)
+      let bm = Array.init m (fun p -> Array.init m (fun i -> if i = p then 1. else 0.)) in
+      let bas = Basis.create ~m in
+      let check stage =
+        let b = rand_vec () in
+        let x = Array.copy b in
+        Basis.ftran bas x;
+        let c = rand_vec () in
+        let y = Array.copy c in
+        Basis.btran bas y;
+        for i = 0 to m - 1 do
+          let bx = ref 0. and bty = ref 0. in
+          for p = 0 to m - 1 do
+            bx := !bx +. (bm.(p).(i) *. x.(p));
+            bty := !bty +. (bm.(i).(p) *. y.(p))
+          done;
+          if Float.abs (!bx -. b.(i)) > 1e-6 *. (1. +. Float.abs b.(i)) then
+            QCheck.Test.fail_reportf "%s: (B x)[%d] = %g <> %g" stage i !bx b.(i);
+          if Float.abs (!bty -. c.(i)) > 1e-6 *. (1. +. Float.abs c.(i)) then
+            QCheck.Test.fail_reportf "%s: (B^T y)[%d] = %g <> %g" stage i !bty
+              c.(i)
+        done;
+        let width = 3 in
+        let cols = Array.init width (fun _ -> rand_vec ()) in
+        let block = Array.make (m * width) 0. in
+        Array.iteri
+          (fun k col -> Array.iteri (fun i v -> block.((i * width) + k) <- v) col)
+          cols;
+        Basis.ftran_batch bas ~width block;
+        Array.iteri
+          (fun k col ->
+            Basis.ftran bas col;
+            Array.iteri
+              (fun i v ->
+                if Int64.bits_of_float v
+                   <> Int64.bits_of_float block.((i * width) + k)
+                then
+                  QCheck.Test.fail_reportf "%s: batch column %d row %d differs"
+                    stage k i)
+              col)
+          cols
+      in
+      check "identity";
+      for _ = 1 to pivots do
+        let a = rand_vec () in
+        let w = Array.copy a in
+        Basis.ftran bas w;
+        (* pivot on the largest entry so the basis stays well conditioned *)
+        let r = ref 0 in
+        Array.iteri (fun i v -> if Float.abs v > Float.abs w.(!r) then r := i) w;
+        if Float.abs w.(!r) > 0.5 then begin
+          Basis.push bas ~r:!r w;
+          bm.(!r) <- a
+        end
+      done;
+      check "after pivots";
+      let basis = Array.init m (fun p -> p) in
+      let cols = Array.map Array.copy bm in
+      let col v f = Array.iteri (fun i x -> if x <> 0. then f i x) cols.(v) in
+      if Basis.refactorize bas ~col basis then begin
+        Array.iteri (fun p v -> bm.(p) <- cols.(v)) basis;
+        check "after refactorize"
+      end;
+      true)
 
-(* The final objective must not depend on the pipeline gate, the LP
-   backend, or the worker count — cuts/tightening/pseudo-costs only
-   reshape the tree. Fixed seeded binary program, all 8 combinations. *)
-let test_cuts_objective_invariance () =
-  let build () =
-    let rng = Random.State.make [| 20240807 |] in
+(* ------------------------------------------------------------------ *)
+(* Presolve.var_intervals                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The intervals feed big-M derivation, so they must be sound: every
+   feasible point of a small bounded integer program lies inside them,
+   and [None] (proved infeasible) is only returned when no point is. *)
+let var_intervals_contain_feasible_points =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 4 in
+      let* m = int_range 1 4 in
+      let* a = array_size (return (m * n)) (float_range (-4.) 6.) in
+      let* b = array_size (return m) (float_range (-2.) 12.) in
+      let* eq = array_size (return m) (float_range 0. 1.) in
+      return (n, m, a, b, eq))
+  in
+  QCheck.Test.make ~count:200
+    ~name:"var_intervals contain every feasible integer point"
+    (QCheck.make gen) (fun (n, m, a, b, eq) ->
+      let ub = 3 in
+      let model = Model.create () in
+      let xs =
+        Array.init n (fun _ ->
+            Model.add_var ~kind:Model.Integer ~ub:(float_of_int ub) model)
+      in
+      (* roughly one row in five is an equality with a rounded rhs, so
+         some models have a few feasible points and some have none *)
+      let rows =
+        Array.init m (fun i ->
+            let coefs = Array.init n (fun j -> Float.round a.((i * n) + j)) in
+            let sense, rhs =
+              if eq.(i) < 0.2 then (Model.Eq, Float.round b.(i))
+              else (Model.Le, b.(i))
+            in
+            ignore
+              (Model.add_constr model
+                 (Linexpr.of_terms (List.init n (fun j -> (xs.(j), coefs.(j)))))
+                 sense rhs);
+            (coefs, sense, rhs))
+      in
+      let feasible x =
+        Array.for_all
+          (fun (coefs, sense, rhs) ->
+            let lhs = ref 0. in
+            Array.iteri (fun j c -> lhs := !lhs +. (c *. x.(j))) coefs;
+            match sense with
+            | Model.Eq -> Float.abs (!lhs -. rhs) <= 1e-9
+            | _ -> !lhs <= rhs +. 1e-9)
+          rows
+      in
+      let intervals = Presolve.var_intervals model in
+      let x = Array.make n 0. in
+      let rec enumerate j =
+        if j = n then begin
+          if feasible x then
+            match intervals with
+            | None ->
+                QCheck.Test.fail_reportf
+                  "reported infeasible but x = [%s] is feasible"
+                  (String.concat "; "
+                     (Array.to_list (Array.map string_of_float x)))
+            | Some iv ->
+                Array.iteri
+                  (fun k v ->
+                    let lo, hi = iv.(xs.(k)) in
+                    if v < lo -. 1e-9 || v > hi +. 1e-9 then
+                      QCheck.Test.fail_reportf
+                        "x%d = %g lies outside its interval [%g, %g]" k v lo hi)
+                  x
+        end
+        else
+          for v = 0 to ub do
+            x.(j) <- float_of_int v;
+            enumerate (j + 1)
+          done
+      in
+      enumerate 0;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* One warm-started LP per tree node                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* At one job the whole tree runs on one backend: the root is its first,
+   cold solve and every later node makes exactly one warm [resolve], so
+   the warm-start counters account for [nodes - 1] calls on both
+   backends. *)
+let test_bb_one_resolve_per_node () =
+  let build seed =
+    let rng = Random.State.make [| seed |] in
     let n = 8 and m = 5 in
     let model = Model.create () in
     let xs = Model.add_vars ~kind:Model.Binary model n in
@@ -1081,117 +1212,35 @@ let test_cuts_objective_invariance () =
          (List.init n (fun j -> (xs.(j), Random.State.float rng 6. -. 1.))));
     model
   in
-  let solve ~on ~backend ~jobs =
-    let r =
-      Branch_bound.solve
-        ~options:
-          {
-            Branch_bound.default_options with
-            cuts = (if on then Relaxation.default_enabled else Relaxation.disabled);
-            backend = Some backend;
-            jobs;
-          }
-        (build ())
-    in
-    Alcotest.(check bool)
-      "optimal" true
-      (r.Branch_bound.outcome = Branch_bound.Optimal);
-    r.Branch_bound.objective
-  in
-  let reference = solve ~on:false ~backend:Backend.Sparse ~jobs:1 in
+  let branched = ref false in
   List.iter
-    (fun (on, backend, jobs) ->
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "objective cuts=%b backend=%s jobs=%d" on
-           (Backend.kind_to_string backend)
-           jobs)
-        reference
-        (solve ~on ~backend ~jobs))
-    [
-      (false, Backend.Sparse, 4);
-      (false, Backend.Dense, 1);
-      (false, Backend.Dense, 4);
-      (true, Backend.Sparse, 1);
-      (true, Backend.Sparse, 4);
-      (true, Backend.Dense, 1);
-      (true, Backend.Dense, 4);
-    ]
-
-(* Every cut accepted into the pool is a globally valid inequality: the
-   brute-force optimal integer witness must satisfy all of them, and the
-   cuts-on search must still reach the brute-force optimum. *)
-let cuts_preserve_integer_witness =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 8 in
-      let* m = int_range 1 4 in
-      let* a = array_size (return (m * n)) (float_range (-4.) 6.) in
-      let* b = array_size (return m) (float_range 0.5 12.) in
-      let* c = array_size (return n) (float_range (-3.) 8.) in
-      return (n, m, a, b, c))
-  in
-  QCheck.Test.make ~count:100
-    ~name:"no separated cut removes the optimal integer witness"
-    (QCheck.make gen)
-    (fun (n, m, a, b, c) ->
-      let model = Model.create () in
-      let xs = Model.add_vars ~kind:Model.Binary model n in
-      for i = 0 to m - 1 do
-        let expr =
-          Linexpr.of_terms (List.init n (fun j -> (xs.(j), a.((i * n) + j))))
-        in
-        ignore (Model.add_constr model expr Model.Le b.(i))
-      done;
-      Model.set_objective model Model.Maximize
-        (Linexpr.of_terms (List.init n (fun j -> (xs.(j), c.(j)))));
-      (* brute-force witness *)
-      let best = ref neg_infinity in
-      let witness = Array.make n 0. in
-      for mask = 0 to (1 lsl n) - 1 do
-        let x j = if mask land (1 lsl j) <> 0 then 1. else 0. in
-        let ok = ref true in
-        for i = 0 to m - 1 do
-          let lhs = ref 0. in
-          for j = 0 to n - 1 do
-            lhs := !lhs +. (a.((i * n) + j) *. x j)
-          done;
-          if !lhs > b.(i) +. 1e-9 then ok := false
-        done;
-        if !ok then begin
-          let v = ref 0. in
-          for j = 0 to n - 1 do
-            v := !v +. (c.(j) *. x j)
-          done;
-          if !v > !best then begin
-            best := !v;
-            for j = 0 to n - 1 do
-              witness.(j) <- x j
-            done
-          end
-        end
-      done;
-      let cuts = ref [] in
-      let r =
-        Branch_bound.solve ~options:cuts_on_options
-          ~on_cut:(fun cu -> cuts := cu :: !cuts)
-          model
-      in
-      if !best = neg_infinity then
-        r.Branch_bound.outcome = Branch_bound.Infeasible
-      else begin
-        List.iter
-          (fun (cu : Cut_pool.cut) ->
-            let lhs = eval_cut witness cu in
-            if lhs > cu.Cut_pool.rhs +. 1e-6 then
-              QCheck.Test.fail_reportf
-                "%s cut cuts off witness (obj %g): lhs %g > rhs %g"
-                cu.Cut_pool.origin !best lhs cu.Cut_pool.rhs)
-          !cuts;
-        if Float.abs (r.Branch_bound.objective -. !best) > 1e-5 then
-          QCheck.Test.fail_reportf "cuts-on bb %g <> brute %g"
-            r.Branch_bound.objective !best
-        else true
-      end)
+    (fun backend ->
+      List.iter
+        (fun seed ->
+          let r =
+            Branch_bound.solve
+              ~options:
+                {
+                  Branch_bound.default_options with
+                  backend = Some backend;
+                  jobs = 1;
+                }
+              (build seed)
+          in
+          let s = r.Branch_bound.lp_stats in
+          let label =
+            Printf.sprintf "%s seed %d" (Backend.kind_to_string backend) seed
+          in
+          Alcotest.check bb_outcome (label ^ " outcome") Branch_bound.Optimal
+            r.Branch_bound.outcome;
+          if r.Branch_bound.nodes > 1 then branched := true;
+          Alcotest.(check int)
+            (label ^ " warm resolves = nodes - 1")
+            (r.Branch_bound.nodes - 1)
+            (s.Simplex.warm_hits + s.Simplex.warm_misses))
+        [ 20240807; 1; 2; 3 ])
+    [ Backend.Sparse; Backend.Dense ];
+  Alcotest.(check bool) "some instance branched" true !branched
 
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests) in
@@ -1237,13 +1286,7 @@ let () =
           Alcotest.test_case "mixed int+sos" `Quick test_milp_mixed_int_sos;
           Alcotest.test_case "primal heuristic" `Quick test_bb_primal_heuristic_incumbent;
           Alcotest.test_case "incumbent trace" `Quick test_bb_incumbent_trace;
-        ] );
-      ( "cuts",
-        [
-          Alcotest.test_case "gomory known answer" `Quick
-            test_gomory_known_answer;
-          Alcotest.test_case "objective invariance" `Quick
-            test_cuts_objective_invariance;
+          Alcotest.test_case "one resolve per node" `Quick test_bb_one_resolve_per_node;
         ] );
       ( "containers",
         [
@@ -1281,8 +1324,9 @@ let () =
           warm_restart_matches_fresh;
           random_binary_milp;
           random_sos1_milp;
-          cuts_preserve_integer_witness;
           presolve_equivalence_property;
           heap_sorts_property;
+          basis_solves_match_dense;
+          var_intervals_contain_feasible_points;
         ];
     ]

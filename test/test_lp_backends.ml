@@ -192,8 +192,6 @@ let backends_agree =
       | _ -> ());
       true)
 
-(* Warm-started B&B (dual-simplex reuse of the parent basis) must reach
-   the same incumbent and bound as cold per-node restarts. *)
 let random_binary_milp_gen =
   QCheck.Gen.(
     let* n = int_range 1 8 in
@@ -216,45 +214,70 @@ let build_binary_milp (n, m, a, b, c) =
     (Linexpr.of_terms (List.init n (fun j -> (xs.(j), c.(j)))));
   model
 
-let warm_equals_cold =
+(* Brute-force optimum of a [random_binary_milp_gen] instance over all
+   2^n binary points; [None] when no point is feasible. *)
+let enumerate_binary_milp (n, m, a, b, c) =
+  let best = ref None in
+  for mask = 0 to (1 lsl n) - 1 do
+    let x j = if mask land (1 lsl j) <> 0 then 1. else 0. in
+    let feasible = ref true in
+    for i = 0 to m - 1 do
+      let lhs = ref 0. in
+      for j = 0 to n - 1 do
+        lhs := !lhs +. (a.((i * n) + j) *. x j)
+      done;
+      if !lhs > b.(i) +. 1e-9 then feasible := false
+    done;
+    if !feasible then begin
+      let v = ref 0. in
+      for j = 0 to n - 1 do
+        v := !v +. (c.(j) *. x j)
+      done;
+      match !best with
+      | Some bv when bv >= !v -> ()
+      | _ -> best := Some !v
+    end
+  done;
+  !best
+
+(* Every node re-solves warm, by dual simplex from the basis of the
+   node before it; enumeration is the oracle that this reuse never
+   loses the optimum: same outcome, same objective, and a best bound
+   that does not undercut the objective. *)
+let warm_matches_enumeration =
   QCheck.Test.make ~count:100
-    ~name:"warm-started B&B matches cold restarts on binary MILPs"
+    ~name:"warm-started B&B matches enumeration on binary MILPs"
     (QCheck.make random_binary_milp_gen) (fun inst ->
-      let solve warm_start =
-        (* jobs pinned to 1: this is a strict per-node determinism test
-           and must not pick up an ambient REPRO_JOBS *)
+      (* jobs pinned to 1 so an ambient REPRO_JOBS cannot change the
+         search under test *)
+      let r =
         Branch_bound.solve
           ~options:
             {
               Branch_bound.default_options with
               backend = Some Backend.Sparse;
-              warm_start;
               jobs = 1;
             }
           (build_binary_milp inst)
       in
-      let w = solve true in
-      let c = solve false in
-      if w.Branch_bound.outcome <> c.Branch_bound.outcome then
-        QCheck.Test.fail_reportf "outcome mismatch";
-      (match w.Branch_bound.outcome with
-      | Branch_bound.Optimal ->
-          if
-            Float.abs (w.Branch_bound.objective -. c.Branch_bound.objective)
-            > 1e-6 *. (1. +. Float.abs w.Branch_bound.objective)
+      let tol v = 1e-6 *. (1. +. Float.abs v) in
+      (match enumerate_binary_milp inst with
+      | None ->
+          if r.Branch_bound.outcome <> Branch_bound.Infeasible then
+            QCheck.Test.fail_reportf "enumeration infeasible, B&B %s"
+              (Fmt.str "%a" Branch_bound.pp_outcome r.Branch_bound.outcome)
+      | Some best ->
+          if r.Branch_bound.outcome <> Branch_bound.Optimal then
+            QCheck.Test.fail_reportf "B&B %s, enumeration optimum %.12g"
+              (Fmt.str "%a" Branch_bound.pp_outcome r.Branch_bound.outcome)
+              best;
+          if Float.abs (r.Branch_bound.objective -. best) > tol best then
+            QCheck.Test.fail_reportf "objective: B&B %.12g enumeration %.12g"
+              r.Branch_bound.objective best;
+          if r.Branch_bound.best_bound < r.Branch_bound.objective -. tol best
           then
-            QCheck.Test.fail_reportf "objective mismatch: warm %.12g cold %.12g"
-              w.Branch_bound.objective c.Branch_bound.objective;
-          if
-            Float.abs (w.Branch_bound.best_bound -. c.Branch_bound.best_bound)
-            > 1e-6 *. (1. +. Float.abs w.Branch_bound.best_bound)
-          then
-            QCheck.Test.fail_reportf "bound mismatch: warm %.12g cold %.12g"
-              w.Branch_bound.best_bound c.Branch_bound.best_bound
-      | _ -> ());
-      (* a cold run must never register dual-simplex warm starts *)
-      if c.Branch_bound.lp_stats.Simplex.warm_hits <> 0 then
-        QCheck.Test.fail_reportf "cold run reported warm hits";
+            QCheck.Test.fail_reportf "best_bound %.12g below objective %.12g"
+              r.Branch_bound.best_bound r.Branch_bound.objective);
       true)
 
 (* The MILP search must agree across backends too (same branching rules,
@@ -471,13 +494,12 @@ let parallel_interrupt =
         [ 1; 4 ];
       true)
 
-(* Cuts and backend are pinned so REPRO_CUTS / REPRO_LP_BACKEND cannot
+(* Backend and jobs are pinned so REPRO_LP_BACKEND / REPRO_JOBS cannot
    move the numbers below. *)
 let golden_options =
   {
     Branch_bound.default_options with
     backend = Some Backend.Sparse;
-    cuts = Relaxation.disabled;
     jobs = 1;
   }
 
@@ -560,7 +582,7 @@ let () =
           Alcotest.test_case "milp knapsack" `Quick test_sparse_milp_knapsack;
         ] );
       qsuite "differential"
-        [ backends_agree; warm_equals_cold; milp_backends_agree ];
+        [ backends_agree; warm_matches_enumeration; milp_backends_agree ];
       ( "tree_search",
         [
           Alcotest.test_case "golden fixture at jobs=1" `Quick

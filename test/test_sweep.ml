@@ -563,9 +563,6 @@ let test_verbose_stats_line () =
       rhs_peeled = 1;
       presolve_rows = 5;
       presolve_cols = 6;
-      cuts_added = 8;
-      cuts_active = 2;
-      bounds_tightened = 13;
     }
   in
   let line = Sweep.verbose_stats_line s in
@@ -582,7 +579,6 @@ let test_verbose_stats_line () =
       "rhs_ftran=11"; "rhs_dual=3"; "rhs_batch=7"; "rhs_batch_cols=10";
       "rhs_peeled=1"; "refactorizations=2"; "etas=7";
       "warm_hits=4"; "warm_misses=1"; "presolve_rows=5"; "presolve_cols=6";
-      "cuts_added=8"; "cuts_active=2"; "bounds_tightened=13";
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -174,9 +174,10 @@ let run () =
         in
 
         (* batch: concurrent distinct queries in one admission group
-           (same topology and op) — the scheduler's admission window
-           must dispatch them as one parallel batch, not 6 batches of
-           one *)
+           (same topology and op) — with one dispatcher per pool
+           domain, the queries that queue while every dispatcher is
+           busy must leave together as one parallel batch, not as 6
+           batches of one *)
         let batch_clients = 6 in
         let batch_threads =
           List.init batch_clients (fun i ->

@@ -72,7 +72,6 @@ module type S = sig
   val install_basis : state -> Simplex.basis_snapshot -> bool
   val num_rows : state -> int
   val stats : state -> Simplex.stats
-  val pp_state : Format.formatter -> state -> unit
 end
 
 module Dense_backend : S with type state = Simplex.t = struct
@@ -93,7 +92,6 @@ module Dense_backend : S with type state = Simplex.t = struct
   let install_basis = Simplex.install_basis
   let num_rows = Simplex.num_rows
   let stats = Simplex.stats
-  let pp_state = Simplex.pp_state
 end
 
 module Sparse_backend : S with type state = Sparse_simplex.t = struct
@@ -114,7 +112,6 @@ module Sparse_backend : S with type state = Sparse_simplex.t = struct
   let install_basis = Sparse_simplex.install_basis
   let num_rows = Sparse_simplex.num_rows
   let stats = Sparse_simplex.stats
-  let pp_state = Sparse_simplex.pp_state
 end
 
 type t = Packed : (module S with type state = 's) * 's * kind -> t
@@ -154,4 +151,3 @@ let snapshot_basis (Packed ((module B), s, _)) = B.snapshot_basis s
 let install_basis (Packed ((module B), s, _)) snap = B.install_basis s snap
 let num_rows (Packed ((module B), s, _)) = B.num_rows s
 let stats (Packed ((module B), s, _)) = B.stats s
-let pp_state ppf (Packed ((module B), s, _)) = B.pp_state ppf s

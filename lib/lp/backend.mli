@@ -68,7 +68,6 @@ module type S = sig
   val install_basis : state -> Simplex.basis_snapshot -> bool
   val num_rows : state -> int
   val stats : state -> Simplex.stats
-  val pp_state : Format.formatter -> state -> unit
 end
 
 module Dense_backend : S with type state = Simplex.t
@@ -130,4 +129,3 @@ val install_basis : t -> Simplex.basis_snapshot -> bool
 val num_rows : t -> int
 
 val stats : t -> Simplex.stats
-val pp_state : Format.formatter -> t -> unit

@@ -1090,23 +1090,3 @@ let stats t =
     presolve_rows = 0;
     presolve_cols = 0;
   }
-
-let pp_state ppf t =
-  let col_name j =
-    if j < t.n then Printf.sprintf "x%d" j
-    else if j < t.n + t.m then Printf.sprintf "s%d" (j - t.n)
-    else Printf.sprintf "a%d" (j - t.n - t.m)
-  in
-  Fmt.pf ppf "@[<v>basis:";
-  for i = 0 to t.m - 1 do
-    Fmt.pf ppf " %s=%.6g" (col_name t.basis.(i)) t.xb.(i)
-  done;
-  Fmt.pf ppf "@ nonbasic:";
-  for j = 0 to t.nt - 1 do
-    match t.stat.(j) with
-    | Basic -> ()
-    | At_lower -> Fmt.pf ppf " %s@@lo(%.4g,d=%.4g)" (col_name j) t.lb.(j) t.d.(j)
-    | At_upper -> Fmt.pf ppf " %s@@hi(%.4g,d=%.4g)" (col_name j) t.ub.(j) t.d.(j)
-    | Free_nb -> Fmt.pf ppf " %s@@free(d=%.4g)" (col_name j) t.d.(j)
-  done;
-  Fmt.pf ppf "@]"

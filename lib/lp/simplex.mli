@@ -148,7 +148,3 @@ val install_basis : t -> basis_snapshot -> bool
 
 (** Lifetime counters for this state. *)
 val stats : t -> stats
-
-(** Diagnostic dump of the internal state (basis, statuses, basic values,
-    reduced costs) for debugging numerical issues. *)
-val pp_state : Format.formatter -> t -> unit

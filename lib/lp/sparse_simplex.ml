@@ -996,16 +996,3 @@ let stats t : Simplex.stats =
     presolve_rows = 0;
     presolve_cols = 0;
   }
-
-let pp_state ppf t =
-  let col_name j =
-    if j < t.n then Printf.sprintf "x%d" j
-    else if j < t.n + t.m then Printf.sprintf "s%d" (j - t.n)
-    else Printf.sprintf "a%d" (j - t.n - t.m)
-  in
-  Fmt.pf ppf "@[<v>basis:";
-  for i = 0 to t.m - 1 do
-    Fmt.pf ppf " %s=%.6g" (col_name t.basis.(i)) t.xb.(i)
-  done;
-  Fmt.pf ppf "@ etas=%d refactors=%d@]" (Basis.eta_count t.bas)
-    (Basis.refactorizations t.bas)

@@ -83,5 +83,3 @@ val install_basis : t -> Simplex.basis_snapshot -> bool
 (** Lifetime counters (iterations, refactorizations, current eta count,
     warm hits/misses). *)
 val stats : t -> Simplex.stats
-
-val pp_state : Format.formatter -> t -> unit

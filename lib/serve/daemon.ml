@@ -48,13 +48,13 @@ let basis_journal_file = "basis-cache.journal"
 type state = {
   config : config;
   pool : Engine.Pool.t option;
-  results : Json.t Solve_cache.t;
+  results : string Solve_cache.t;
   oracle : float option Solve_cache.t;
   bases : Basis_store.t option;
       (* cross-sweep basis snapshots (shared journal with the sweep
          CLI): cold OPT solves warm-start from the topology's final
          sweep basis instead of factorizing from scratch *)
-  sched : Json.t Scheduler.t;
+  sched : string Scheduler.t;
   pathsets : (string * int, Pathset.t) Hashtbl.t;
   pathsets_mutex : Mutex.t;
   breaker : Resilience.Breaker.t;
@@ -167,10 +167,13 @@ let group (inst : Protocol.instance) op =
 
 (* ---- the solves (run inside the scheduler's batches) --------------- *)
 
+(* The heuristic value skips the oracle cache: the result cache already
+   keys this answer on the same content (graph, paths, heuristic,
+   demand). The OPT value stays cached, shared across heuristics. *)
 let evaluate_job ev g demand () =
   let space = Pathset.space ev.Evaluate.pathset in
   let opt = Evaluate.opt_value ev demand in
-  let heur = Evaluate.heuristic_value ev demand in
+  let heur = Evaluate.heuristic_value (Oracle_cache.detach ev) demand in
   Json.Obj
     [
       ("opt", Json.Num opt);
@@ -293,14 +296,19 @@ let scheduler_error = function
   | Scheduler.Shutdown ->
       Protocol.error ~code:"overloaded" "daemon is shutting down"
 
-let submit state ~key ~group ?deadline_s job extra_fields =
+let submit state ~key ~group ?deadline_s job =
   match Resilience.Breaker.admit state.breaker with
   | Resilience.Breaker.Shed ->
       Protocol.error ~code:"degraded"
         "circuit open: recent solves failed or timed out; retry after cooldown"
   | Resilience.Breaker.Admit | Resilience.Breaker.Probe -> (
       let t0 = Unix.gettimeofday () in
-      let result = Scheduler.submit state.sched ~key ~group ?deadline_s job in
+      (* the answer is encoded once, inside the job: that string is what
+         the result cache holds and counts and what the journal appends *)
+      let result =
+        Scheduler.submit state.sched ~key ~group ?deadline_s (fun () ->
+            Json.to_string (job ()))
+      in
       let ok =
         match result with
         | Error (Scheduler.Failed _ | Scheduler.Timed_out _) -> false
@@ -310,16 +318,18 @@ let submit state ~key ~group ?deadline_s job extra_fields =
         ~latency_s:(Unix.gettimeofday () -. t0);
       match result with
       | Error e -> scheduler_error e
-      | Ok (Json.Obj fields, source) ->
-          Protocol.ok
-            (fields
-            @ extra_fields
-            @ [
-                ("cached", Json.Bool (source = `Cached));
-                ("coalesced", Json.Bool (source = `Coalesced));
-                ("fingerprint", Json.Str (Fingerprint.to_hex key));
-              ])
-      | Ok (other, _) -> Protocol.ok [ ("result", other) ])
+      | Ok (answer, source) -> (
+          match Json.of_string answer with
+          | Ok (Json.Obj fields) ->
+              Protocol.ok
+                (fields
+                @ [
+                    ("cached", Json.Bool (source = `Cached));
+                    ("coalesced", Json.Bool (source = `Coalesced));
+                    ("fingerprint", Json.Str (Fingerprint.to_hex key));
+                  ])
+          | Ok _ -> Protocol.error ~code:"internal" "answer is not an object"
+          | Error e -> Protocol.error ~code:"internal" ("answer: " ^ e)))
 
 let cache_stats_json (s : Solve_cache.stats) =
   let total = s.Solve_cache.hits + s.Solve_cache.misses in
@@ -418,7 +428,7 @@ let handle state (req : Protocol.request) =
           in
           submit state ~key
             ~group:(group instance "evaluate")
-            ?deadline_s:deadline (evaluate_job ev g d) [])
+            ?deadline_s:deadline (evaluate_job ev g d))
   | Protocol.Find_gap { instance; method_; time; seed; deadline; degrade } -> (
       match build_evaluator state instance with
       | Error e -> Protocol.error ~code:"bad-request" e
@@ -459,8 +469,7 @@ let handle state (req : Protocol.request) =
             ~group:(group instance "find-gap")
             ?deadline_s:deadline
             (find_gap_job ?pool:state.pool ?budget ~jobs:state.config.jobs ev
-               ~method_ ~time ~seed)
-            [])
+               ~method_ ~time ~seed))
 
 (* ------------------------------------------------------------------ *)
 (* connection + accept loops                                           *)
@@ -577,8 +586,9 @@ let run ?(ready = fun () -> ()) config =
             let solve_journal =
               Solve_cache.with_journal results
                 ~path:(Filename.concat dir journal_file)
-                ~encode:Json.to_string
-                ~decode:(fun s -> Result.to_option (Json.of_string s))
+                ~encode:Fun.id
+                ~decode:(fun s ->
+                  if Result.is_ok (Json.of_string s) then Some s else None)
             in
             match (solve_journal, bases) with
             | (Error _ as e), _ | e, None -> e
@@ -606,7 +616,7 @@ let run ?(ready = fun () -> ()) config =
           let sched =
             Scheduler.create ~queue_limit:config.queue_limit
               ~batch_max:config.batch_max ?pool ~cache:results
-              ~cost_bytes:(fun v -> String.length (Json.to_string v))
+              ~cost_bytes:String.length
               ()
           in
           let state =

@@ -20,13 +20,17 @@
 
     Two caches are maintained:
     - the {b result cache} keys full evaluate / find-gap responses by
-      canonical instance fingerprint; it is the one that turns repeated
-      queries into microseconds, and the one the optional journal
-      persists across restarts;
+      canonical instance fingerprint and holds each answer once, as its
+      encoded JSON: that string is its byte cost and its journal record.
+      It is the one that turns repeated queries into microseconds, and
+      the one the optional journal persists across restarts;
     - the {b oracle cache} keys individual oracle values and is
       attached to every evaluator ({!Oracle_cache.attach}), so even a
       {e fresh} find-gap search reuses oracle work done by earlier
-      queries on the same instance. *)
+      queries on the same instance. An [evaluate] caches only its OPT
+      value there, which every heuristic on the same topology, paths
+      and demand shares; its heuristic value would repeat the result
+      cache's key. *)
 
 type config = {
   socket_path : string;

@@ -36,12 +36,11 @@ type 'v t = {
   in_flight : (int64, 'v cell) Hashtbl.t;  (** queued or running *)
   queue_limit : int;
   batch_max : int;
-  batch_window : float;  (** seconds the dispatcher waits for batch mates *)
   pool : Repro_engine.Pool.t option;
   cache : 'v Solve_cache.t option;
   cost_bytes : 'v -> int;
   mutable stopping : bool;
-  mutable dispatcher : Thread.t option;
+  mutable dispatchers : Thread.t list;
   mutable ticker : Thread.t option;
   mutable timed_waiters : int;
   mutable submitted : int;
@@ -85,6 +84,10 @@ let take_batch t =
     rest;
   List.rev !batch
 
+(* One dispatcher per pool domain: each pops the head and its queued
+   group mates as soon as it is free, so a lone request starts at once
+   and concurrent requests run side by side on separate domains. Batches
+   form from whatever queued while every dispatcher was busy. *)
 let run_dispatcher t =
   let running = ref true in
   while !running do
@@ -93,32 +96,22 @@ let run_dispatcher t =
           while Queue.is_empty t.queue && not t.stopping do
             Condition.wait t.work t.mutex
           done;
-          (* Admission window: the queue just gained its head, but the
-             clients that would share its batch are typically still
-             inside [submit] — popping immediately would dispatch every
-             concurrent burst as batches of one. When the queue is still
-             short of [batch_max], sleep briefly {e without the mutex}
-             (only this thread ever pops, so the queue can only grow
-             meanwhile) and only then commit the batch. *)
-          if
-            (not t.stopping)
-            && t.batch_window > 0.
-            && Queue.length t.queue < t.batch_max
-          then begin
-            Mutex.unlock t.mutex;
-            Thread.delay t.batch_window;
-            Mutex.lock t.mutex
-          end;
           if t.stopping then begin
-            (* fail whatever is still queued; the race in progress (none:
-               we are the dispatcher) is already over *)
+            (* fail whatever is still queued; batches other dispatchers
+               have already popped finish normally *)
             Queue.iter (fun e -> complete t e (Error Shutdown)) t.queue;
             Queue.clear t.queue;
             Condition.broadcast t.finished;
             running := false;
             []
           end
-          else take_batch t)
+          else begin
+            let batch = take_batch t in
+            (* entries of another group stay queued: hand them to the
+               next idle dispatcher rather than to this one's return *)
+            if not (Queue.is_empty t.queue) then Condition.signal t.work;
+            batch
+          end)
     in
     if batch <> [] then begin
       let arr = Array.of_list batch in
@@ -191,11 +184,9 @@ let run_ticker t =
   in
   loop ()
 
-let create ?(queue_limit = 256) ?(batch_max = 16) ?(batch_window = 0.002)
-    ?pool ?cache ~cost_bytes () =
+let create ?(queue_limit = 256) ?(batch_max = 16) ?pool ?cache ~cost_bytes () =
   if queue_limit <= 0 then invalid_arg "Scheduler.create: queue_limit <= 0";
   if batch_max <= 0 then invalid_arg "Scheduler.create: batch_max <= 0";
-  if batch_window < 0. then invalid_arg "Scheduler.create: batch_window < 0";
   let t =
     {
       mutex = Mutex.create ();
@@ -205,12 +196,11 @@ let create ?(queue_limit = 256) ?(batch_max = 16) ?(batch_window = 0.002)
       in_flight = Hashtbl.create 64;
       queue_limit;
       batch_max;
-      batch_window;
       pool;
       cache;
       cost_bytes;
       stopping = false;
-      dispatcher = None;
+      dispatchers = [];
       ticker = None;
       timed_waiters = 0;
       submitted = 0;
@@ -223,7 +213,11 @@ let create ?(queue_limit = 256) ?(batch_max = 16) ?(batch_window = 0.002)
       timed_out = 0;
     }
   in
-  t.dispatcher <- Some (Thread.create run_dispatcher t);
+  let dispatchers =
+    match pool with Some p -> Repro_engine.Pool.size p | None -> 1
+  in
+  t.dispatchers <-
+    List.init dispatchers (fun _ -> Thread.create run_dispatcher t);
   t.ticker <- Some (Thread.create run_ticker t);
   t
 
@@ -311,8 +305,8 @@ let shutdown t =
           t.stopping <- true;
           Condition.broadcast t.work;
           Condition.broadcast t.finished;
-          let ts = List.filter_map Fun.id [ t.dispatcher; t.ticker ] in
-          t.dispatcher <- None;
+          let ts = Option.to_list t.ticker @ t.dispatchers in
+          t.dispatchers <- [];
           t.ticker <- None;
           ts
         end)

@@ -13,12 +13,17 @@
       is the backpressure signal the daemon turns into a structured
       error for the client.
 
-    A dispatcher thread drains the queue in batches: up to [batch_max]
-    entries sharing one admission group (same topology / query shape —
-    compatible oracle evaluations) run through a single
-    {!Repro_engine.Parallel.map} on the engine pool. Completed values
-    are inserted into the cache (when one is attached) and handed to
-    every waiter of the fingerprint.
+    One dispatcher thread per engine-pool domain (one when there is no
+    pool) drains the queue. A free dispatcher pops the head at once,
+    with no admission delay, together with up to [batch_max - 1] queued
+    entries of the same admission group (same topology / query shape —
+    compatible oracle evaluations), and runs them through a single
+    {!Repro_engine.Parallel.map} on the engine pool. So a lone request
+    starts immediately, concurrent requests run side by side on separate
+    domains, and a batch forms from whatever queued while every
+    dispatcher was busy. Completed values are inserted into the cache
+    (when one is attached) and handed to every waiter of the
+    fingerprint.
 
     Jobs are closures so the scheduler is agnostic to what a solve is;
     a raising job fails only the callers waiting on that fingerprint. *)
@@ -59,22 +64,14 @@ type stats = {
 val create :
   ?queue_limit:int ->
   ?batch_max:int ->
-  ?batch_window:float ->
   ?pool:Repro_engine.Pool.t ->
   ?cache:'v Solve_cache.t ->
   cost_bytes:('v -> int) ->
   unit ->
   'v t
-(** [queue_limit] defaults to 256, [batch_max] to 16. [batch_window]
-    (seconds, default 2ms, [0.] to disable) is the admission window:
-    when the queue is shorter than [batch_max], the dispatcher waits
-    this long for concurrent submitters to enqueue compatible work
-    before committing a batch — without it, a burst of simultaneous
-    queries dispatches as batches of one because the dispatcher drains
-    faster than clients can enqueue. Solves are milliseconds at
-    minimum, so the window is noise on any individual request.
-    [cost_bytes] estimates a value's cache footprint. The dispatcher
-    thread starts immediately. *)
+(** [queue_limit] defaults to 256, [batch_max] to 16. [cost_bytes]
+    estimates a value's cache footprint. The dispatcher threads start
+    immediately: [Pool.size pool] of them, or one without a pool. *)
 
 val submit :
   'v t ->
@@ -94,5 +91,5 @@ val submit :
 val stats : 'v t -> stats
 
 val shutdown : 'v t -> unit
-(** Stop the dispatcher after the batch in progress; queued-but-unrun
+(** Stop the dispatchers after the batches in progress; queued-but-unrun
     entries fail with [Shutdown]. Idempotent. *)

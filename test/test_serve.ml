@@ -437,14 +437,26 @@ let test_scheduler_failure_isolated () =
   | _ -> Alcotest.fail "scheduler must survive a failed job");
   Sched.shutdown sched
 
-(* Regression: a burst of distinct same-group queries must form a batch.
-   The dispatcher used to pop the queue the instant it gained a head, so
-   concurrent clients always dispatched as batches of one (max_batch
-   stuck at 1); the admission window lets the burst accumulate. *)
-let test_scheduler_batch_admission () =
-  let sched =
-    Sched.create ~batch_window:0.05 ~cost_bytes:(fun _ -> 8) ()
+(* Poll [cond] every millisecond for up to [timeout] seconds. *)
+let wait_until ?(timeout = 5.) cond =
+  let until = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    if cond () then true
+    else if Unix.gettimeofday () >= until then false
+    else begin
+      Thread.delay 0.001;
+      go ()
+    end
   in
+  go ()
+
+(* Regression: a burst of distinct same-group queries must form a batch.
+   The first request starts alone, without waiting for mates; the 7 that
+   queue behind it while it runs leave together as one batch. Each job
+   waits (bounded) until all 8 have been submitted, so the queue is full
+   before the first job returns. *)
+let test_scheduler_batch_admission () =
+  let sched = Sched.create ~cost_bytes:(fun _ -> 8) () in
   let clients = 8 in
   let g = gate () in
   let results = Array.make clients (Error Sched.Shutdown) in
@@ -455,6 +467,9 @@ let test_scheduler_batch_admission () =
             gate_wait g;
             results.(i) <-
               Sched.submit sched ~key:(key_of_int (100 + i)) (fun () ->
+                  ignore
+                    (wait_until (fun () ->
+                         (Sched.stats sched).Sched.submitted = clients));
                   Thread.delay 0.01;
                   i))
           ())
@@ -472,7 +487,42 @@ let test_scheduler_batch_admission () =
   Alcotest.(check bool)
     (Printf.sprintf "burst batched (max_batch %d > 1)" s.Sched.max_batch)
     true (s.Sched.max_batch > 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most two batches (%d)" s.Sched.batches)
+    true (s.Sched.batches <= 2);
   Sched.shutdown sched
+
+(* Two lone requests on a pool of 2 run at the same time: job A only
+   returns once job B has started. A single dispatcher would hold B in
+   the queue until A's batch finished, so A would time out. *)
+let test_scheduler_concurrent_dispatch () =
+  Repro_engine.Pool.with_pool ~domains:2 (fun pool ->
+      let sched = Sched.create ~pool ~cost_bytes:(fun _ -> 8) () in
+      let b_started = Atomic.make false in
+      let a_saw_b = ref false in
+      let a =
+        Thread.create
+          (fun () ->
+            ignore
+              (Sched.submit sched ~key:(key_of_int 1) ~group:"a" (fun () ->
+                   a_saw_b := wait_until (fun () -> Atomic.get b_started);
+                   1)))
+          ()
+      in
+      (* B is submitted only once A has left the queue *)
+      await_stats sched ~tries:2500 (fun s ->
+          s.Sched.in_flight_now = 1 && s.Sched.queued_now = 0);
+      (match
+         Sched.submit sched ~key:(key_of_int 2) ~group:"b" (fun () ->
+             Atomic.set b_started true;
+             2)
+       with
+      | Ok (2, `Computed) -> ()
+      | _ -> Alcotest.fail "job B failed");
+      Thread.join a;
+      Alcotest.(check bool) "A and B ran at the same time" true !a_saw_b;
+      Alcotest.(check int) "two batches" 2 (Sched.stats sched).Sched.batches;
+      Sched.shutdown sched)
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -1193,6 +1243,57 @@ let test_daemon_concurrent_once () =
             (Option.is_some
                (Option.bind (Json.member "oracle_cache" stats) (Json.obj_int "misses"))))
 
+(* Each cold evaluate stores one oracle value, its OPT; the heuristic
+   value lives only in the result cache's answer. A repeated request is
+   answered from that stored answer with the cold reply's numbers. *)
+let test_daemon_oracle_cache_opt_only () =
+  let socket_path = temp_path "d7.sock" in
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      let seeds = [ 11; 12; 13 ] in
+      let evaluate c seed =
+        expect_ok "evaluate"
+          (S.Client.call c
+             (S.Protocol.Evaluate
+                {
+                  instance = b4_dp_instance;
+                  demand = S.Protocol.Gen { gen = `Gravity; seed };
+                  deadline = None;
+                }))
+      in
+      let numbers r =
+        List.map (fun k -> Json.obj_num k r) [ "opt"; "heuristic"; "gap" ]
+      in
+      let result =
+        S.Client.with_connection sock (fun c ->
+            let cold = List.map (evaluate c) seeds in
+            let stats = expect_ok "stats" (S.Client.call c S.Protocol.Stats) in
+            let inserts cache =
+              Option.bind (Json.member cache stats) (Json.obj_int "inserts")
+            in
+            Alcotest.(check (option int))
+              "one oracle insert per cold evaluate"
+              (Some (List.length seeds))
+              (inserts "oracle_cache");
+            Alcotest.(check (option int))
+              "one result insert per cold evaluate"
+              (Some (List.length seeds))
+              (inserts "result_cache");
+            let warm = evaluate c (List.hd seeds) in
+            Alcotest.(check (option bool))
+              "repeat is cached" (Some true)
+              (Option.bind (Json.member "cached" warm) Json.bool);
+            Alcotest.(check (list (option (float 0.))))
+              "repeat has the cold numbers"
+              (numbers (List.hd cold))
+              (numbers warm);
+            Alcotest.(check bool)
+              "cold reply has a heuristic value" true
+              (Option.is_some (Json.obj_num "heuristic" (List.hd cold))))
+      in
+      match result with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "connect: %s" e)
+
 (* A leftover file at the socket path does not stop the daemon, and a
    clean shutdown removes the socket again. *)
 let test_daemon_stale_socket () =
@@ -1441,6 +1542,8 @@ let () =
             test_scheduler_cache_and_backpressure;
           Alcotest.test_case "failed job isolated" `Quick
             test_scheduler_failure_isolated;
+          Alcotest.test_case "lone requests run side by side on a pool" `Quick
+            test_scheduler_concurrent_dispatch;
           Alcotest.test_case "concurrent burst forms a batch" `Quick
             test_scheduler_batch_admission;
         ] );
@@ -1470,6 +1573,8 @@ let () =
             test_daemon_bad_frames;
           Alcotest.test_case "identical concurrent queries solve once" `Quick
             test_daemon_concurrent_once;
+          Alcotest.test_case "evaluate caches OPT only" `Quick
+            test_daemon_oracle_cache_opt_only;
           Alcotest.test_case "stale socket replaced, removed on exit" `Quick
             test_daemon_stale_socket;
           Alcotest.test_case "shutdown drains idle connections" `Quick

@@ -1,28 +1,14 @@
 (* Engine benchmarks: serial vs --jobs wall-clock, recorded into
    BENCH_engine.json (see Common.write_bench_json).
 
-   Two families of scenarios:
-
-   - parallel-map: oracle probe scoring and POP instance averaging through
-     Repro_engine.Parallel vs the serial loop, with a bit-identity check.
-     On a single-CPU container these rows measure dispatch overhead
-     (speedup ~1x); the "identical" flag is the point — parallelism is
-     free of result drift, so any extra core translates directly.
-
-   - portfolio time-to-target: the serial baseline runs the full
-     portfolio (white-box direct + hill climbing + simulated annealing)
-     sequentially to its budgets and reports its best gap; the parallel
-     run races the same strategies over the shared incumbent store with
-     that gap as target and stops as soon as any worker reaches it. The
-     speedup is real wall-clock — it comes from not having to finish the
-     losing strategies' budgets, so it holds even on one core. *)
+   Parallel-map scenarios: oracle probe scoring and POP instance
+   averaging through Repro_engine.Parallel vs the serial loop, with a
+   bit-identity check. On a single-CPU container these rows measure
+   dispatch overhead (speedup ~1x); the "identical" flag is the point —
+   parallelism is free of result drift, so any extra core translates
+   directly. *)
 
 let jobs = 4
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 (* round-robin best-of-n over competing arms: the parallel-map scenarios
    measure sub-100ms regions whose jitter (and GC drift across the run)
@@ -144,67 +130,8 @@ let pop_averaging g =
             \"speedup\": %.2f}"
            name serial_s jobs_s jobs identical (serial_s /. jobs_s)))
 
-(* ---- portfolio time-to-target scenarios ---------------------------- *)
-
-let portfolio_options ~target ~jobs =
-  {
-    Adversary.default_options with
-    probe_budget = Common.probe_budget;
-    jobs;
-    search =
-      Adversary.Portfolio
-        {
-          Adversary.blackbox_seeds = [ 1 ];
-          blackbox_time = (if Common.full_mode then 30. else 5.);
-          sweep_probes = 0;
-          target_gap = target;
-        };
-    bb =
-      {
-        Branch_bound.default_options with
-        time_limit = Common.whitebox_time;
-        stall_time = Common.whitebox_time /. 3.;
-      };
-  }
-
-let portfolio_race g =
-  let name = Graph.name g in
-  Common.subsection (Printf.sprintf "portfolio time-to-target (%s)" name);
-  let pathset = Common.pathset_of g ~paths:Common.default_paths in
-  let ev = Evaluate.make_dp pathset ~threshold:(Common.threshold_of g ~fraction:0.05) in
-  (* serial baseline: every strategy runs its full budget, one after the
-     other (jobs = 1, no target) *)
-  let serial, serial_s =
-    time (fun () ->
-        Adversary.find ev ~options:(portfolio_options ~target:None ~jobs:1) ())
-  in
-  (* parallel race to the serial baseline's gap *)
-  let parallel, parallel_s =
-    time (fun () ->
-        Adversary.find ev
-          ~options:
-            (portfolio_options ~target:(Some serial.Adversary.gap) ~jobs)
-          ())
-  in
-  let gap_ok = parallel.Adversary.gap >= serial.Adversary.gap -. 1e-6 in
-  let speedup = serial_s /. parallel_s in
-  Common.row
-    "  serial: gap %.1f in %.1fs | jobs=%d to target: gap %.1f in %.1fs | \
-     speedup %.1fx, gap >= serial: %b"
-    serial.Adversary.gap serial_s jobs parallel.Adversary.gap parallel_s
-    speedup gap_ok;
-  Common.add_scenario
-    (Printf.sprintf
-       "    {\"name\": \"portfolio-time-to-target/%s\", \"serial_s\": %.3f, \
-        \"portfolio_s\": %.3f, \"jobs\": %d, \"gap_serial\": %.3f, \
-        \"gap_portfolio\": %.3f, \"gap_ok\": %b, \"speedup\": %.2f}"
-       name serial_s parallel_s jobs serial.Adversary.gap
-       parallel.Adversary.gap gap_ok speedup)
-
 let run () =
   Common.section "engine: parallel search engine (BENCH_engine.json)";
   Common.note_jobs jobs;
   List.iter probe_scoring [ Topologies.b4 (); Topologies.swan () ];
-  pop_averaging (Topologies.b4 ());
-  List.iter portfolio_race
-    [ Topologies.b4 (); Topologies.abilene (); Topologies.swan () ]
+  pop_averaging (Topologies.b4 ())

@@ -89,8 +89,7 @@ let jobs_arg =
      deterministic. With N > 1, oracle scoring fans out over a domain \
      pool (bit-identical results), the tree is searched by N \
      work-stealing workers (same outcome and objective within the gap \
-     tolerance; node order may differ), and the portfolio method races \
-     its strategies concurrently."
+     tolerance; node order may differ)."
   in
   Arg.(
     value
@@ -213,17 +212,16 @@ let evaluate_cmd =
 
 let method_arg =
   let doc =
-    "Search method: whitebox, sweep, hillclimb, annealing, or portfolio \
-     (race all of them against a shared incumbent store; combine with \
-     --jobs)."
+    "Search method: whitebox (probing, then one branch-and-bound tree \
+     whose bound is reported), or the black-box baselines hillclimb and \
+     annealing."
   in
   Arg.(
     value
     & opt
         (enum
-           [ ("whitebox", `Whitebox); ("sweep", `Sweep);
-             ("hillclimb", `Hillclimb); ("annealing", `Annealing);
-             ("portfolio", `Portfolio) ])
+           [ ("whitebox", `Whitebox); ("hillclimb", `Hillclimb);
+             ("annealing", `Annealing) ])
         `Whitebox
     & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
@@ -407,22 +405,12 @@ let find_gap_cmd =
       | None -> ()
     in
     match method_ with
-    | `Whitebox | `Sweep | `Portfolio ->
+    | `Whitebox ->
         let options =
           {
             Adversary.default_options with
             run_milp = not no_milp;
             jobs;
-            search =
-              (match method_ with
-              | `Sweep -> Adversary.Binary_sweep { probes = 5; probe_time = time /. 6. }
-              | `Portfolio ->
-                  Adversary.Portfolio
-                    {
-                      Adversary.default_portfolio with
-                      blackbox_time = time /. 2.;
-                    }
-              | _ -> Adversary.Direct);
             bb =
               {
                 Branch_bound.default_options with
@@ -1152,10 +1140,8 @@ let client_cmd =
           let method_ =
             match method_ with
             | `Whitebox -> Serve.Protocol.Whitebox
-            | `Sweep -> Serve.Protocol.Sweep
             | `Hillclimb -> Serve.Protocol.Hillclimb
             | `Annealing -> Serve.Protocol.Annealing
-            | `Portfolio -> Serve.Protocol.Portfolio
           in
           Serve.Protocol.Find_gap
             { instance; method_; time; seed; deadline; degrade }

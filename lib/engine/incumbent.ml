@@ -1,33 +1,13 @@
-type 'a t = {
-  mutex : Mutex.t;
-  mutable best : ('a * float) option;
-  mutable trace : (float * float) list; (* newest first *)
-  mutable updates : int;
-  mutable proposals : int;
-  started : float;
-}
+type 'a t = { mutex : Mutex.t; mutable best : ('a * float) option }
 
-let create () =
-  {
-    mutex = Mutex.create ();
-    best = None;
-    trace = [];
-    updates = 0;
-    proposals = 0;
-    started = Unix.gettimeofday ();
-  }
+let create () = { mutex = Mutex.create (); best = None }
 
 let propose t value score =
   Mutex.lock t.mutex;
-  t.proposals <- t.proposals + 1;
   let improved =
     match t.best with None -> true | Some (_, b) -> score > b
   in
-  if improved then begin
-    t.best <- Some (value, score);
-    t.trace <- (Unix.gettimeofday () -. t.started, score) :: t.trace;
-    t.updates <- t.updates + 1
-  end;
+  if improved then t.best <- Some (value, score);
   Mutex.unlock t.mutex;
   improved
 
@@ -39,15 +19,3 @@ let best t =
 
 let best_score t =
   match best t with Some (_, s) -> s | None -> neg_infinity
-
-let trace t =
-  Mutex.lock t.mutex;
-  let tr = t.trace in
-  Mutex.unlock t.mutex;
-  List.rev tr
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s = (t.updates, t.proposals) in
-  Mutex.unlock t.mutex;
-  s

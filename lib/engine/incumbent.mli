@@ -1,21 +1,14 @@
-(** Shared incumbent store for portfolio search.
+(** Shared incumbent store.
 
     One mutex-protected cell holding the best (value, score) pair seen so
-    far, written concurrently by every worker of a portfolio race. The
-    store is strictly monotone: a proposal only replaces the incumbent
-    when its score is strictly greater, so the best score never decreases
-    — under any interleaving — and the improvement trace is strictly
-    increasing.
-
-    This is the coupling device of the portfolio runner: any worker's
-    oracle-verified gap lands here and is immediately visible to every
-    other worker, tightening branch-and-bound pruning bounds and
-    resetting stall detectors (the metaopt layer reads [best_score] from
-    its primal-heuristic callbacks).
+    far, written concurrently by the workers of a parallel tree search.
+    The store is strictly monotone: a proposal only replaces the
+    incumbent when its score is strictly greater, so the best score never
+    decreases under any interleaving.
 
     Stored values are kept by reference: callers must pass values they
-    will not mutate afterwards (the metaopt layer copies demand arrays
-    before proposing). *)
+    will not mutate afterwards (branch-and-bound copies its primal
+    assignment before proposing). *)
 
 type 'a t
 
@@ -31,10 +24,3 @@ val best : 'a t -> ('a * float) option
 val best_score : 'a t -> float
 (** Current best score; [neg_infinity] when empty (so it can be compared
     against unconditionally). *)
-
-val trace : 'a t -> (float * float) list
-(** (seconds since [create], score) at each improvement, oldest first;
-    scores strictly increase. *)
-
-val stats : 'a t -> int * int
-(** (improvements installed, proposals received). *)

@@ -49,8 +49,8 @@ type options = {
   log_progress : bool;
   interrupt : unit -> bool;
       (** polled once per node; returning true stops the search with the
-          current incumbent (the hook portfolio racers use to wind a
-          worker down once the shared incumbent is good enough). With
+          current incumbent (how a caller stops a search from outside;
+          a tracer may also use the poll as a per-node tick). With
           [jobs > 1] it is polled concurrently from every worker domain
           and must be thread-safe *)
   backend : Backend.kind option;

@@ -1,16 +1,6 @@
 module Engine = Repro_engine
 
-type search =
-  | Direct
-  | Binary_sweep of { probes : int; probe_time : float }
-  | Portfolio of portfolio_options
-
-and portfolio_options = {
-  blackbox_seeds : int list;
-  blackbox_time : float;
-  sweep_probes : int;
-  target_gap : float option;
-}
+type search = Direct
 
 type options = {
   bb : Branch_bound.options;
@@ -22,14 +12,6 @@ type options = {
   quantize : float option;
   jobs : int;
 }
-
-let default_portfolio =
-  {
-    blackbox_seeds = [ 1; 2 ];
-    blackbox_time = 8.;
-    sweep_probes = 2;
-    target_gap = None;
-  }
 
 let default_options =
   {
@@ -89,23 +71,19 @@ type oracle_state = {
       (** guards [cache]/[best]/[calls]/[trace]: with a parallel tree
           search the primal heuristic runs concurrently on B\&B worker
           domains *)
-  shared : Demand.t Engine.Incumbent.t option;
-      (** portfolio mode: every verified improvement is also proposed
-          here, and [best_known] folds rivals' scores back in *)
   mutable best : (Demand.t * float) option;
   mutable calls : int;
   mutable trace : (float * float) list;
   started : float;
 }
 
-let make_oracle_state ?shared (ev : Evaluate.t) ~(options : options) =
+let make_oracle_state (ev : Evaluate.t) ~(options : options) =
   {
     ev;
     constraints = options.constraints;
     quantize = options.quantize;
     cache = Hashtbl.create 256;
     lock = Mutex.create ();
-    shared;
     best = None;
     calls = 0;
     trace = [];
@@ -124,19 +102,14 @@ let snap st demands =
   | Some step ->
       Array.map (fun d -> step *. Float.round (d /. step)) demands
 
-(* Record a verified gap (demands already snapped). Publishes into the
-   shared incumbent store, if any, so the improvement immediately tightens
-   every racing worker's pruning bound. Caller holds [st.lock]. *)
+(* Record a verified gap (demands already snapped). Caller holds
+   [st.lock]. *)
 let record_verified_locked st demands g =
   match st.best with
   | Some (_, b) when g <= b -> ()
   | _ ->
-      let copy = Array.copy demands in
-      st.best <- Some (copy, g);
-      st.trace <- (now () -. st.started, g) :: st.trace;
-      (match st.shared with
-      | Some inc -> ignore (Engine.Incumbent.propose inc copy g)
-      | None -> ())
+      st.best <- Some (Array.copy demands, g);
+      st.trace <- (now () -. st.started, g) :: st.trace
 
 let oracle_gap st demands =
   let demands = snap st demands in
@@ -159,28 +132,14 @@ let oracle_gap st demands =
           | None -> ());
       g
 
-(* Best oracle-verified value this worker may trust as an incumbent: its
-   own plus — in a portfolio race — anything a rival has published. *)
-let best_known st =
-  let local =
-    with_lock st (fun () ->
-        match st.best with Some (_, g) -> g | None -> neg_infinity)
-  in
-  let shared =
-    match st.shared with
-    | Some inc -> Engine.Incumbent.best_score inc
-    | None -> neg_infinity
-  in
-  Float.max local shared
-
 let primal_heuristic st (gp : Gap_problem.t) relax_primal =
   let demands = Gap_problem.demands_of_primal gp relax_primal in
   ignore (oracle_gap st demands);
   (* always report the best oracle-verified value so far — probing results
-     and rival portfolio workers' finds become branch-and-bound incumbents
-     (improvements also reset the stall detector) *)
-  let g = best_known st in
-  if g > neg_infinity then Some (g, None) else None
+     become branch-and-bound incumbents (improvements also reset the
+     stall detector) *)
+  with_lock st (fun () ->
+      match st.best with Some (_, g) -> Some (g, None) | None -> None)
 
 (* Structure-aware probing (see Probes): the substitute for a commercial
    solver's built-in primal heuristics. Candidates and greedy refinements
@@ -189,8 +148,7 @@ let primal_heuristic st (gp : Gap_problem.t) relax_primal =
    [parallel_map] (pure evaluation in parallel, bookkeeping serial in
    candidate order — same cache, same best, same oracle-call count as the
    serial loop). *)
-let run_probes ?pool ?(stop = fun () -> false) st (ev : Evaluate.t) ~demand_ub
-    ~budget =
+let run_probes ?pool st (ev : Evaluate.t) ~demand_ub ~budget =
   if budget <= 0 then ()
   else begin
   let pathset = ev.Evaluate.pathset in
@@ -208,13 +166,22 @@ let run_probes ?pool ?(stop = fun () -> false) st (ev : Evaluate.t) ~demand_ub
   | None ->
       List.iter
         (fun d ->
-          if not (stop ()) then
-            ignore (oracle_gap st (Input_constraints.project st.constraints d)))
+          ignore (oracle_gap st (Input_constraints.project st.constraints d)))
         candidates
   | Some _ ->
+      (* a repeated candidate costs the serial loop no oracle call (it
+         hits [st.cache]), so it is scored only once here as well *)
+      let seen = Hashtbl.create 64 in
       let prepared =
-        List.map
-          (fun d -> snap st (Input_constraints.project st.constraints d))
+        List.filter_map
+          (fun d ->
+            let d = snap st (Input_constraints.project st.constraints d) in
+            let key = cache_key d in
+            if Hashtbl.mem seen key then None
+            else begin
+              Hashtbl.add seen key ();
+              Some d
+            end)
           candidates
       in
       let gaps =
@@ -238,7 +205,6 @@ let run_probes ?pool ?(stop = fun () -> false) st (ev : Evaluate.t) ~demand_ub
         prepared gaps);
   let refine_budget = Int.max 0 (budget - List.length candidates) in
   match st.best with
-  | _ when stop () -> ()
   | None -> ()
   | Some (d, _) ->
       let levels =
@@ -254,10 +220,12 @@ let run_probes ?pool ?(stop = fun () -> false) st (ev : Evaluate.t) ~demand_ub
             List.sort_uniq compare
               (List.map (fun l -> step *. Float.round (l /. step)) levels)
       in
-      (match
-         Probes.refine ev ~constraints:st.constraints ~budget:refine_budget
-           ~levels d
-       with
+      let refined, calls =
+        Probes.refine ev ~constraints:st.constraints ~budget:refine_budget
+          ~levels d
+      in
+      st.calls <- st.calls + calls;
+      (match refined with
       | None -> ()
       | Some (d, _) ->
           (* route through the oracle so the recorded value is snapped,
@@ -291,12 +259,10 @@ let solve_one ?pool st gp ~bb_options =
   | None -> ());
   r
 
-(* The single-strategy searches (the paper's two §3.3 modes). Probing must
-   already have run on [st]; returns the B&B result and the proven upper
-   bound, if one was obtained. *)
-let run_search ?pool st gp ~(options : options) ~search =
-  let pathset = st.ev.Evaluate.pathset in
-  let heuristic = heuristic_of_spec st.ev in
+(* The gap search proper: one branch-and-bound tree over the
+   metaoptimization, whose [best_bound] is the only bound reported.
+   Probing must already have run on [st]. *)
+let run_search ?pool st gp ~(options : options) =
   if not options.run_milp then
     (* probe-only mode: used when the KKT model is too large for the
        MILP substrate to bound usefully within budget (e.g. many POP
@@ -318,85 +284,17 @@ let run_search ?pool st gp ~(options : options) ~search =
       },
       None )
   else
-    match search with
-    | Portfolio _ -> invalid_arg "Adversary.run_search: portfolio"
-    | Direct ->
-        let r = solve_one ?pool st gp ~bb_options:options.bb in
-        let ub =
-          match r.Branch_bound.outcome with
-          | Branch_bound.Optimal | Branch_bound.Feasible
-          | Branch_bound.No_incumbent ->
-              Some r.Branch_bound.best_bound
-          | Branch_bound.Infeasible | Branch_bound.Unbounded -> None
-        in
-        (r, ub)
-    | Binary_sweep { probes; probe_time } ->
-        (* Z3-style: demand "gap >= target" feasibility probes, bisecting
-           the target; each probe is a fresh short solve of the same model
-           with an extra lower-bound row on the gap objective. *)
-        let _, obj = Model.objective gp.Gap_problem.model in
-        let root =
-          solve_one ?pool st gp
-            ~bb_options:
-              { options.bb with time_limit = probe_time; node_limit = 1 }
-        in
-        let hi = ref (Float.max 1. root.Branch_bound.best_bound) in
-        let lo =
-          ref
-            (match st.best with
-            | Some (_, g) -> g
-            | None -> 0.)
-        in
-        let last = ref root in
-        (* an expired budget latches: once it trips, no further probe is
-           worth launching — each would return immediately anyway, but
-           the model build per probe is not free *)
-        let out_of_budget () =
-          match options.bb.Branch_bound.deadline with
-          | Some d -> Repro_resilience.Deadline.expired d
-          | None -> false
-        in
-        for _ = 1 to probes do
-          if
-            !hi -. !lo > 1e-6 *. Float.max 1. !hi
-            && (not (options.bb.Branch_bound.interrupt ()))
-            && not (out_of_budget ())
-          then begin
-            let target = (!lo +. !hi) /. 2. in
-            let gp' =
-              Gap_problem.build pathset ~heuristic
-                ~constraints:options.constraints ?demand_ub:options.demand_ub
-                ?quantize:options.quantize ()
-            in
-            ignore
-              (Model.add_constr ~name:"gap_target" gp'.Gap_problem.model obj
-                 Model.Ge target);
-            let r =
-              Solver.solve ?pool
-                ~options:{ options.bb with time_limit = probe_time }
-                ~presolve:true
-                ~primal_heuristic:(primal_heuristic st gp')
-                gp'.Gap_problem.model
-            in
-            last := r;
-            let reached =
-              match st.best with
-              | Some (_, g) -> g >= target
-              | None -> false
-            in
-            if reached then lo := Option.get st.best |> snd
-            else if
-              (* probe proved no input reaches the target *)
-              r.Branch_bound.outcome = Branch_bound.Infeasible
-            then hi := target
-            else
-              (* inconclusive probe: shrink cautiously from above *)
-              hi := Float.max target (!lo +. (0.5 *. (!hi -. !lo)))
-          end
-        done;
-        (!last, Some !hi)
+    let r = solve_one ?pool st gp ~bb_options:options.bb in
+    let ub =
+      match r.Branch_bound.outcome with
+      | Branch_bound.Optimal | Branch_bound.Feasible
+      | Branch_bound.No_incumbent ->
+          Some r.Branch_bound.best_bound
+      | Branch_bound.Infeasible | Branch_bound.Unbounded -> None
+    in
+    (r, ub)
 
-let assemble_result st gp ~bb_result ~upper_bound ~trace ~oracle_calls =
+let assemble_result st gp ~bb_result ~upper_bound =
   let demands, gap =
     match st.best with
     | Some (d, g) -> (d, g)
@@ -417,7 +315,7 @@ let assemble_result st gp ~bb_result ~upper_bound ~trace ~oracle_calls =
     heuristic_value;
     upper_bound;
     outcome = bb_result.Branch_bound.outcome;
-    trace;
+    trace = List.rev st.trace;
     stats =
       {
         nodes = bb_result.Branch_bound.nodes;
@@ -428,14 +326,15 @@ let assemble_result st gp ~bb_result ~upper_bound ~trace ~oracle_calls =
         model_vars = vars;
         model_constrs = constrs;
         model_sos1 = sos1;
-        oracle_calls;
+        oracle_calls = st.calls;
       };
   }
 
-(* One-shot search (Direct / Binary_sweep), optionally on a pool: probe
-   scoring and the oracle's POP instances fan out; results are
-   bit-identical to jobs = 1 by the [Parallel] determinism contract. *)
-let find_single (ev : Evaluate.t) ~(options : options) ~pool () =
+(* Probe, then one tree search. With a pool, probe scoring and the
+   oracle's POP instances fan out (results bit-identical to jobs = 1 by
+   the [Parallel] determinism contract) and the tree search runs on
+   [options.jobs] workers. *)
+let find_on (ev : Evaluate.t) ~(options : options) ~pool =
   let ev =
     match pool with Some _ -> Evaluate.with_pool ev pool | None -> ev
   in
@@ -447,207 +346,18 @@ let find_single (ev : Evaluate.t) ~(options : options) ~pool () =
   let st = make_oracle_state ev ~options in
   run_probes ?pool st ev ~demand_ub:gp.Gap_problem.demand_ub
     ~budget:options.probe_budget;
-  (* the MILP tree search itself runs on [options.jobs] workers *)
   let options =
     { options with bb = { options.bb with Branch_bound.jobs = options.jobs } }
   in
-  let bb_result, upper_bound =
-    run_search ?pool st gp ~options ~search:options.search
-  in
-  assemble_result st gp ~bb_result ~upper_bound ~trace:(List.rev st.trace)
-    ~oracle_calls:st.calls
-
-(* Portfolio mode: race heterogeneous strategies — the white-box Direct
-   search, a Binary_sweep, and hill-climbing / simulated-annealing workers
-   with distinct seeds — against one shared incumbent store. Any worker's
-   oracle-verified gap immediately becomes every other worker's pruning
-   bound (via [primal_heuristic] / [best_known]) and resets their stall
-   detectors; [target_gap] stops the whole race as soon as the store
-   reaches it. Each strategy is serial inside (the pool's unit of work is
-   the strategy), so per-strategy behaviour is deterministic given its
-   seed; which strategy wins a tie depends on timing, but the reported
-   gap is monotone in the set of finished work and every value is
-   oracle-verified. *)
-let find_portfolio (ev : Evaluate.t) ~(options : options) ~pool
-    (p : portfolio_options) =
-  let started = now () in
-  let incumbent = Engine.Incumbent.create () in
-  let whitebox_st = ref None and whitebox_bb = ref None in
-  let whitebox_ub = ref None in
-  let sweep_calls = ref 0 in
-  let blackbox_evals = ref 0 in
-  let blackbox_mutex = Mutex.create () in
-  let whitebox name search =
-    {
-      Engine.Portfolio.name;
-      run =
-        (fun ~incumbent ~should_stop ->
-          let st = make_oracle_state ~shared:incumbent ev ~options in
-          let gp =
-            Gap_problem.build ev.Evaluate.pathset
-              ~heuristic:(heuristic_of_spec ev)
-              ~constraints:options.constraints ?demand_ub:options.demand_ub
-              ?quantize:options.quantize ()
-          in
-          if search = Direct then begin
-            whitebox_st := Some (st, gp)
-          end;
-          run_probes ~stop:should_stop st ev
-            ~demand_ub:gp.Gap_problem.demand_ub ~budget:options.probe_budget;
-          (* each racing strategy is serial inside — the pool's unit of
-             work is the strategy, so the tree search stays on one job *)
-          let options =
-            {
-              options with
-              bb =
-                {
-                  options.bb with
-                  Branch_bound.interrupt = should_stop;
-                  jobs = 1;
-                };
-            }
-          in
-          let bb_result, ub = run_search st gp ~options ~search in
-          if search = Direct then begin
-            whitebox_bb := Some bb_result;
-            whitebox_ub := ub
-          end
-          else sweep_calls := st.calls)
-    }
-  in
-  let blackbox name
-      (algo :
-        Evaluate.t ->
-        rng:Rng.t ->
-        ?options:Blackbox.options ->
-        unit ->
-        Blackbox.result) seed =
-    {
-      Engine.Portfolio.name;
-      run =
-        (fun ~incumbent ~should_stop ->
-          let bb_opts =
-            {
-              Blackbox.default_options with
-              time_limit = p.blackbox_time;
-              constraints = options.constraints;
-              demand_ub = options.demand_ub;
-              stop = should_stop;
-              on_best =
-                (fun d g ->
-                  (* only constraint-feasible, oracle-verified gaps reach
-                     this callback: propose them to the race *)
-                  ignore (Engine.Incumbent.propose incumbent d g));
-            }
-          in
-          let r = algo ev ~rng:(Rng.create seed) ~options:bb_opts () in
-          Mutex.lock blackbox_mutex;
-          blackbox_evals := !blackbox_evals + r.Blackbox.evaluations;
-          Mutex.unlock blackbox_mutex)
-    }
-  in
-  let strategies =
-    (whitebox "whitebox-direct" Direct
-    ::
-    (if p.sweep_probes > 0 && options.run_milp then
-       [
-         whitebox "whitebox-sweep"
-           (Binary_sweep
-              {
-                probes = p.sweep_probes;
-                probe_time =
-                  options.bb.Branch_bound.time_limit
-                  /. float_of_int (p.sweep_probes + 1);
-              });
-       ]
-     else []))
-    @ List.concat_map
-        (fun seed ->
-          [
-            blackbox (Printf.sprintf "hillclimb-%d" seed) Blackbox.hill_climb
-              seed;
-            blackbox
-              (Printf.sprintf "annealing-%d" seed)
-              Blackbox.simulated_annealing seed;
-          ])
-        p.blackbox_seeds
-  in
-  let stop_when =
-    match p.target_gap with
-    | None -> None
-    | Some t -> Some (fun score -> score >= t)
-  in
-  ignore
-    (Engine.Portfolio.run ?pool ?stop_when ~incumbent strategies
-      : Engine.Portfolio.outcome list);
-  (* assemble: best from the shared store, bound/model stats from the
-     white-box worker *)
-  let st, gp =
-    match !whitebox_st with
-    | Some (st, gp) -> (st, gp)
-    | None ->
-        (* direct strategy never started (stopped immediately): fall back
-           to an empty state over a freshly built model *)
-        ( make_oracle_state ev ~options,
-          Gap_problem.build ev.Evaluate.pathset
-            ~heuristic:(heuristic_of_spec ev)
-            ~constraints:options.constraints ?demand_ub:options.demand_ub
-            ?quantize:options.quantize () )
-  in
-  (match Engine.Incumbent.best incumbent with
-  | Some (d, g) -> st.best <- Some (Array.copy d, g)
-  | None -> ());
-  let bb_result =
-    match !whitebox_bb with
-    | Some r -> r
-    | None ->
-        {
-          Branch_bound.outcome =
-            (if st.best = None then Branch_bound.No_incumbent
-             else Branch_bound.Feasible);
-          objective =
-            (match st.best with Some (_, g) -> g | None -> Float.nan);
-          best_bound = infinity;
-          mip_gap = Float.nan;
-          primal = None;
-          nodes = 0;
-          simplex_iterations = 0;
-          lp_stats = Simplex.empty_stats;
-          elapsed = now () -. started;
-          incumbent_trace = [];
-          tree = Branch_bound.serial_tree_stats;
-        }
-  in
-  let oracle_calls = st.calls + !sweep_calls + !blackbox_evals in
-  assemble_result st gp ~bb_result ~upper_bound:!whitebox_ub
-    ~trace:(Engine.Incumbent.trace incumbent) ~oracle_calls
+  let bb_result, upper_bound = run_search ?pool st gp ~options in
+  assemble_result st gp ~bb_result ~upper_bound
 
 let find (ev : Evaluate.t) ?(options = default_options) ?pool () =
-  let jobs = Engine.Jobs.clamp options.jobs in
-  let run pool =
-    match options.search with
-    | Portfolio p -> find_portfolio ev ~options ~pool p
-    | Direct | Binary_sweep _ -> find_single ev ~options ~pool ()
-  in
   match pool with
-  | Some _ -> run pool
+  | Some _ -> find_on ev ~options ~pool
   | None ->
+      let jobs = Engine.Jobs.clamp options.jobs in
       if jobs > 1 then
-        Engine.Pool.with_pool ~domains:jobs (fun pool -> run (Some pool))
-      else run None
-
-let find_diverse ev ?(options = default_options) ~count ~radius () =
-  let rec loop acc constraints remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let r = find ev ~options:{ options with constraints } () in
-      if r.gap <= 0. then List.rev acc
-      else
-        let constraints =
-          Input_constraints.combine constraints
-            (Input_constraints.exclude_ball ~center:r.demands ~radius)
-        in
-        loop (r :: acc) constraints (remaining - 1)
-    end
-  in
-  loop [] options.constraints count
+        Engine.Pool.with_pool ~domains:jobs (fun pool ->
+            find_on ev ~options ~pool:(Some pool))
+      else find_on ev ~options ~pool:None

@@ -6,19 +6,14 @@
     between the encoding and the verification — and searches it with
     branch-and-bound.
 
-    Mirroring §3.3 ("gap search"), three search modes are offered:
-
-    - [Direct]: one solve with the stall-based timeout — the Gurobi mode
-      (stop when incremental progress over a window falls under 0.5%);
-    - [Binary_sweep]: repeatedly ask for {e any} input whose gap meets a
-      target and bisect the target with a fixed per-probe timeout — the
-      Z3 mode for solvers that do not report incremental progress;
-    - [Portfolio]: race both white-box modes against hill-climbing and
-      simulated-annealing workers (distinct seeds) over one shared
-      {!Repro_engine.Incumbent} store. Any worker's oracle-verified gap
-      immediately becomes every other worker's pruning bound and resets
-      their stall detectors; with [jobs] > 1 the strategies run on a
-      domain pool, with [jobs] = 1 they run sequentially with early exit.
+    §3.3 offers two gap-search modes. This module implements the Gurobi
+    one: a structure-aware probing pass ({!Probes}), then one
+    branch-and-bound tree with the stall-based timeout (stop when
+    incremental progress over a window falls under the threshold). The
+    tree's [best_bound] is the only bound reported. The Z3 mode, which
+    bisects a gap target with timed feasibility probes, exists for
+    solvers that report no incremental progress; this tree does, so it
+    is not offered.
 
     Every node relaxation is turned into a candidate demand matrix and
     re-evaluated with the exact oracle; oracle gaps feed back into the
@@ -26,22 +21,13 @@
     oracle-verified: [gap] is the true gap of [demands], never a claim of
     the relaxation. *)
 
+(** The search strategy. A single constructor, kept as a type (and as
+    the [search] field of {!options}) so that callers that spell out
+    [search = Direct] — the end-to-end benchmark among them — keep
+    building. *)
 type search =
   | Direct
-  | Binary_sweep of { probes : int; probe_time : float }
-  | Portfolio of portfolio_options
-
-and portfolio_options = {
-  blackbox_seeds : int list;
-      (** one hill-climbing and one simulated-annealing worker per seed *)
-  blackbox_time : float;  (** per-black-box-worker budget, seconds *)
-  sweep_probes : int;
-      (** bisection probes of the Binary_sweep strategy; 0 drops it from
-          the portfolio *)
-  target_gap : float option;
-      (** stop the whole race as soon as the shared incumbent reaches
-          this gap — the time-to-target mode used for benchmarking *)
-}
+      (** probe, then one branch-and-bound tree (the §3.3 Gurobi mode) *)
 
 type options = {
   bb : Branch_bound.options;
@@ -63,18 +49,13 @@ type options = {
           so reported gaps are achievable within the quantized space. *)
   jobs : int;
       (** worker domains (clamped to [1, Repro_engine.Jobs.max_jobs]).
-          With [jobs] > 1, [Direct]/[Binary_sweep] fan probe scoring and
-          the oracle's POP instances over a pool (results bit-identical to
-          serial) {e and} run the branch-and-bound tree search itself on
-          [jobs] workers (same outcome/objective within [bb.gap_tol];
-          node order may differ — see {!Branch_bound}). [Portfolio] runs
-          its strategies concurrently instead, each strategy's tree
-          search staying serial. 1 is the fully serial path — no domains
-          are spawned. *)
+          With [jobs] > 1, probe scoring and the oracle's POP instances
+          fan out over a pool (results bit-identical to serial) {e and}
+          the branch-and-bound tree search itself runs on [jobs] workers
+          (same outcome/objective within [bb.gap_tol]; node order may
+          differ — see {!Branch_bound}). 1 is the fully serial path — no
+          domains are spawned. *)
 }
-
-val default_portfolio : portfolio_options
-(** Seeds [1; 2], 8 s per black-box worker, 2 sweep probes, no target. *)
 
 val default_options : options
 
@@ -94,7 +75,9 @@ type stats = {
   model_constrs : int;
   model_sos1 : int;
   oracle_calls : int;
-      (** for [Portfolio]: summed across all strategies of the race *)
+      (** oracle queries of the search: probe candidates, probe
+          refinement and the tree's primal heuristic (cache hits
+          excluded) *)
 }
 
 type result = {
@@ -104,30 +87,20 @@ type result = {
   opt_value : float;
   heuristic_value : float;
   upper_bound : float option;
-      (** proven bound on the achievable gap (primal–dual bound of the
-          metaoptimization), when the search produced one *)
+      (** proven bound on the achievable gap: the branch-and-bound
+          tree's [best_bound]; [None] when [run_milp] is false or the
+          model was infeasible or unbounded *)
   outcome : Branch_bound.outcome;
   trace : (float * float) list;
-      (** (seconds, best oracle gap so far) — the white-box Fig 3 series.
-          For [Portfolio], the shared incumbent store's improvement
-          trace. *)
+      (** (seconds, best oracle gap so far) — the white-box Fig 3 series *)
   stats : stats;
 }
 
 val heuristic_of_spec : Evaluate.t -> Gap_problem.heuristic
 
-(** [find ev ()] runs the configured search. [pool] supplies the worker
-    domains (probe fan-out, portfolio strategies, parallel tree search);
+(** [find ev ()] runs the search. [pool] supplies the worker domains
+    (probe fan-out, parallel tree search);
     when omitted and [options.jobs] > 1 a private pool of [jobs] domains
     is created for the call. *)
 val find :
   Evaluate.t -> ?options:options -> ?pool:Repro_engine.Pool.t -> unit -> result
-
-(** [find_diverse ev ~count ~radius ()] — §5 "diverse kinds of bad
-    inputs": run [find] up to [count] times, after each run excluding an
-    L-infinity ball of the given [radius] around the input just found.
-    Results come in discovery order; the list is shorter than [count] if
-    a round finds no positive gap outside the excluded regions. Every two
-    returned inputs differ by at least [radius] in some coordinate. *)
-val find_diverse :
-  Evaluate.t -> ?options:options -> count:int -> radius:float -> unit -> result list

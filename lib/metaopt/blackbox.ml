@@ -8,8 +8,6 @@ type options = {
   cooling_period : int;
   demand_ub : float option;
   constraints : Input_constraints.t;
-  stop : unit -> bool;
-  on_best : Demand.t -> float -> unit;
   batch : int;
   pool : Repro_engine.Pool.t option;
 }
@@ -25,8 +23,6 @@ let default_options =
     cooling_period = 100;
     demand_ub = None;
     constraints = Input_constraints.none;
-    stop = (fun () -> false);
-    on_best = (fun _ _ -> ());
     batch = 1;
     pool = None;
   }
@@ -84,7 +80,6 @@ let make_state ev ~rng opts =
 let out_of_budget st =
   now () -. st.start > st.opts.time_limit
   || st.evaluations >= st.opts.max_evaluations
-  || st.opts.stop ()
 
 (* Pure scoring: no state mutation, safe to fan out over a pool.
    Infeasible heuristic inputs and constraint violations score
@@ -105,10 +100,8 @@ let record st d (g, counted) =
     match st.best with
     | Some (_, b) when g <= b -> ()
     | _ ->
-        let copy = Array.copy d in
-        st.best <- Some (copy, g);
-        st.trace <- (now () -. st.start, g) :: st.trace;
-        st.opts.on_best copy g
+        st.best <- Some (Array.copy d, g);
+        st.trace <- (now () -. st.start, g) :: st.trace
 
 let score st d =
   let r = evaluate_raw st d in

@@ -18,13 +18,6 @@ type options = {
   cooling_period : int;  (** Kp: iterations between coolings (SA) *)
   demand_ub : float option;  (** [None] — max link capacity *)
   constraints : Input_constraints.t;
-  stop : unit -> bool;
-      (** external stop signal, polled with the time/evaluation budget —
-          how a portfolio race winds a black-box worker down early *)
-  on_best : Demand.t -> float -> unit;
-      (** called on every improvement with a private copy of the demands —
-          how a worker publishes into a shared {!Repro_engine.Incumbent}
-          store *)
   batch : int;
       (** neighbours drawn (serially, deterministic stream) and scored per
           hill-climbing step; 1 reproduces Algorithm 1 exactly *)

@@ -49,7 +49,7 @@ let with_opt_basis t opt_basis = { t with opt_basis }
 (* Route a computation through the attached cache hook, if any. The hook
    is consulted and filled under whatever synchronization it carries
    itself (the serving layer's cache is sharded and mutex-protected), so
-   this is safe from portfolio workers on different domains. *)
+   this is safe from tree-search workers on different domains. *)
 let cached t ~tag demand compute =
   match t.hook with
   | None -> compute ()

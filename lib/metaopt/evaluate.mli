@@ -27,7 +27,7 @@ type cache_hook = {
 (** External oracle-value cache, attached by the serving layer
     ({!Repro_serve.Oracle_cache}): every [opt_value] /
     [heuristic_value] consults it first, so repeated oracle calls —
-    inside one black-box walk, across portfolio workers on different
+    inside one black-box walk, across tree-search workers on different
     domains, or across independent daemon queries over the same
     instance — cost one solve. Implementations must be domain-safe;
     the cached value for ["heur"] may be [None] (a cached

@@ -12,25 +12,14 @@ type intra = {
   bound : float;
 }
 
-type exclusion = {
-  center : float array;
-  radius : float;
-}
-
 type t = {
   lower : float array option;
   upper : float array option;
   goalposts : goalpost list;
   intra : intra list;
-  exclusions : exclusion list;
 }
 
-let none =
-  { lower = None; upper = None; goalposts = []; intra = []; exclusions = [] }
-
-let exclude_ball ~center ~radius =
-  if radius <= 0. then invalid_arg "Input_constraints.exclude_ball: radius <= 0";
-  { none with exclusions = [ { center = Array.copy center; radius } ] }
+let none = { lower = None; upper = None; goalposts = []; intra = [] }
 
 let goalpost ?pairs ~reference ~distance ~relative () =
   { none with goalposts = [ { reference; distance; relative; pairs } ] }
@@ -79,7 +68,6 @@ let combine a b =
     upper = merge_bound Float.min a.upper b.upper;
     goalposts = a.goalposts @ b.goalposts;
     intra = a.intra @ b.intra;
-    exclusions = a.exclusions @ b.exclusions;
   }
 
 let goalpost_interval gp k =
@@ -122,58 +110,7 @@ let apply model ~demand_vars t =
           (Linexpr.scale ic.avg_coef avg_expr)
       in
       ignore (Model.add_constr ~name:"intra" model expr ic.sense ic.bound))
-    t.intra;
-  (* exclusions (§5 "diverse bad inputs"): at least one coordinate must
-     escape the forbidden ball. One indicator binary per feasible escape
-     half-space, big-M'd against the variable's own (finite) bounds. *)
-  List.iter
-    (fun ex ->
-      let escapes = ref [] in
-      Array.iteri
-        (fun k v ->
-          let c = ex.center.(k) in
-          let lo = Model.var_lb model v and hi = Model.var_ub model v in
-          (* escape above: y = 1 forces d_k >= c + radius *)
-          if hi >= c +. ex.radius && lo > neg_infinity then begin
-            let y =
-              Model.add_var
-                ~name:(Printf.sprintf "excl_hi_%d" k)
-                ~kind:Model.Binary model
-            in
-            let big_m = c +. ex.radius -. lo in
-            (* d_k >= lo + (c + radius - lo) y *)
-            ignore
-              (Model.add_constr model
-                 (Linexpr.of_terms [ (v, 1.); (y, -.big_m) ])
-                 Model.Ge lo);
-            escapes := y :: !escapes
-          end;
-          (* escape below: y = 1 forces d_k <= c - radius *)
-          if lo <= c -. ex.radius && hi < infinity then begin
-            let y =
-              Model.add_var
-                ~name:(Printf.sprintf "excl_lo_%d" k)
-                ~kind:Model.Binary model
-            in
-            let big_m = hi -. (c -. ex.radius) in
-            (* d_k <= hi - (hi - c + radius) y *)
-            ignore
-              (Model.add_constr model
-                 (Linexpr.of_terms [ (v, 1.); (y, big_m) ])
-                 Model.Le hi);
-            escapes := y :: !escapes
-          end)
-        demand_vars;
-      match !escapes with
-      | [] ->
-          invalid_arg
-            "Input_constraints.apply: exclusion ball covers the whole box"
-      | ys ->
-          ignore
-            (Model.add_constr ~name:"excl_escape" model
-               (Linexpr.of_terms (List.map (fun y -> (y, 1.)) ys))
-               Model.Ge 1.))
-    t.exclusions
+    t.intra
 
 let satisfied ?(tol = 1e-6) t d =
   let n = Array.length d in
@@ -210,19 +147,7 @@ let satisfied ?(tol = 1e-6) t d =
         | Model.Eq -> Float.abs (lhs -. ic.bound) <= tol)
       t.intra
   in
-  let excl_ok =
-    List.for_all
-      (fun ex ->
-        let worst = ref 0. in
-        Array.iteri
-          (fun k v ->
-            let dev = Float.abs (v -. ex.center.(k)) in
-            if dev > !worst then worst := dev)
-          d;
-        !worst >= ex.radius -. tol)
-      t.exclusions
-  in
-  box_ok && gp_ok && intra_ok && excl_ok
+  box_ok && gp_ok && intra_ok
 
 let project t d =
   let d = Array.copy d in
@@ -255,27 +180,4 @@ let project t d =
     t.intra;
   if !scale < 1. then
     Array.iteri (fun k v -> d.(k) <- Float.max 0. (!scale *. v)) d;
-  (* push out of any exclusion ball: move the coordinate that is already
-     furthest from the center onto the ball's surface *)
-  List.iter
-    (fun ex ->
-      let worst_k = ref 0 and worst = ref (-1.) in
-      Array.iteri
-        (fun k v ->
-          let dev = Float.abs (v -. ex.center.(k)) in
-          if dev > !worst then begin
-            worst := dev;
-            worst_k := k
-          end)
-        d;
-      if !worst < ex.radius then begin
-        let k = !worst_k in
-        let c = ex.center.(k) in
-        let candidate =
-          if d.(k) >= c || c -. ex.radius < 0. then c +. ex.radius
-          else c -. ex.radius
-        in
-        d.(k) <- candidate
-      end)
-    t.exclusions;
   d

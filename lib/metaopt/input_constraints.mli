@@ -33,27 +33,14 @@ type intra = {
   bound : float;
 }
 
-type exclusion = {
-  center : float array;
-  radius : float;
-      (** the excluded open L-infinity ball: inputs with
-          [max_k |d_k - center_k| < radius] are forbidden *)
-}
-
 type t = {
   lower : float array option;
   upper : float array option;
   goalposts : goalpost list;
   intra : intra list;
-  exclusions : exclusion list;
 }
 
 val none : t
-
-val exclude_ball : center:float array -> radius:float -> t
-(** §5 "diverse kinds of bad inputs": remove a neighbourhood of a
-    previously-found input from the search space. [apply] encodes the
-    disjunction with one indicator binary per half-space (big-M). *)
 
 val goalpost :
   ?pairs:int list ->

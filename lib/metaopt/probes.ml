@@ -82,7 +82,7 @@ let best_candidate ?pool ev ~constraints candidates =
 
 let refine ev ~constraints ~budget ~levels start =
   match score ev ~constraints start with
-  | None -> None
+  | None -> (None, 1)
   | Some (d0, g0) ->
       let best_d = ref (Array.copy d0) and best_g = ref g0 in
       let calls = ref 0 in
@@ -110,4 +110,4 @@ let refine ev ~constraints ~budget ~levels start =
           incr k
         done
       done;
-      Some (!best_d, !best_g)
+      (Some (!best_d, !best_g), 1 + !calls)

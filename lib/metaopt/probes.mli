@@ -43,11 +43,13 @@ val refine :
   budget:int ->
   levels:float list ->
   Demand.t ->
-  (Demand.t * float) option
+  (Demand.t * float) option * int
 (** Greedy coordinate descent: repeatedly try moving one pair's demand to
     each level, keeping oracle improvements, until [budget] oracle calls
     are exhausted or a full pass yields nothing. Returns the best
-    (demands, gap) seen, [None] if nothing feasible was found. *)
+    (demands, gap) seen, [None] if nothing feasible was found, and the
+    oracle calls made: the budgeted moves plus the one that scores the
+    start. *)
 
 val score :
   Evaluate.t ->

@@ -205,7 +205,7 @@ let find_gap_job ?pool ?budget ~jobs ev ~(method_ : Protocol.search_method)
     else []
   in
   match method_ with
-  | Protocol.Whitebox | Protocol.Sweep | Protocol.Portfolio ->
+  | Protocol.Whitebox ->
       let deadline =
         Option.map (fun b -> Resilience.Deadline.create ~wall:b ()) budget
       in
@@ -213,18 +213,6 @@ let find_gap_job ?pool ?budget ~jobs ev ~(method_ : Protocol.search_method)
         {
           Adversary.default_options with
           jobs;
-          search =
-            (match method_ with
-            | Protocol.Sweep ->
-                Adversary.Binary_sweep
-                  { probes = 5; probe_time = effective_time /. 6. }
-            | Protocol.Portfolio ->
-                Adversary.Portfolio
-                  {
-                    Adversary.default_portfolio with
-                    blackbox_time = effective_time /. 2.;
-                  }
-            | _ -> Adversary.Direct);
           bb =
             {
               Repro_lp.Branch_bound.default_options with
@@ -446,13 +434,7 @@ let handle state (req : Protocol.request) =
             in
             let acc = Fingerprint.feed_string acc "find-gap" in
             let acc =
-              Fingerprint.feed_string acc
-                (match method_ with
-                | Protocol.Whitebox -> "whitebox"
-                | Protocol.Sweep -> "sweep"
-                | Protocol.Hillclimb -> "hillclimb"
-                | Protocol.Annealing -> "annealing"
-                | Protocol.Portfolio -> "portfolio")
+              Fingerprint.feed_string acc (Protocol.method_to_string method_)
             in
             let acc = Fingerprint.feed_float acc time in
             let acc = Fingerprint.feed_int acc seed in

@@ -9,7 +9,7 @@
     shared across every heuristic configuration probing the same
     topology (e.g. a DP threshold sweep). Because the key is
     content-addressed, the hits compose across every consumer of the
-    oracle: repeated probes of a black-box walk, rival portfolio workers
+    oracle: repeated probes of a black-box walk, parallel tree-search workers
     evaluating the same candidate on different domains, and independent
     daemon queries against the same instance all pay for one solve.
 

@@ -66,7 +66,7 @@ type instance = {
   heuristic : heuristic_spec;
 }
 
-type search_method = Whitebox | Sweep | Hillclimb | Annealing | Portfolio
+type search_method = Whitebox | Hillclimb | Annealing
 
 type request =
   | Evaluate of {
@@ -149,18 +149,14 @@ let instance_of_json j =
 
 let method_of_string = function
   | "whitebox" -> Ok Whitebox
-  | "sweep" -> Ok Sweep
   | "hillclimb" -> Ok Hillclimb
   | "annealing" -> Ok Annealing
-  | "portfolio" -> Ok Portfolio
   | m -> Error (Printf.sprintf "unknown method %S" m)
 
 let method_to_string = function
   | Whitebox -> "whitebox"
-  | Sweep -> "sweep"
   | Hillclimb -> "hillclimb"
   | Annealing -> "annealing"
-  | Portfolio -> "portfolio"
 
 let deadline_of_json j =
   match Json.obj_num "deadline" j with

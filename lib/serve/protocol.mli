@@ -21,8 +21,7 @@
     [{"gen":"uniform"|"gravity"|"bimodal", "seed":S}], [{"csv":TEXT}]
     (the CLI's src,dst,volume format) or
     [{"entries":[[src,dst,volume],...]}], and [M] is one of
-    ["whitebox"], ["sweep"], ["hillclimb"], ["annealing"],
-    ["portfolio"].
+    ["whitebox"], ["hillclimb"], ["annealing"].
 
     ["deadline"] (optional, seconds > 0) bounds how long the daemon may
     spend answering this request; past it the reply is the typed error
@@ -67,7 +66,10 @@ type instance = {
   heuristic : heuristic_spec;
 }
 
-type search_method = Whitebox | Sweep | Hillclimb | Annealing | Portfolio
+type search_method = Whitebox | Hillclimb | Annealing
+
+val method_to_string : search_method -> string
+(** The wire name: ["whitebox"], ["hillclimb"] or ["annealing"]. *)
 
 type request =
   | Evaluate of {

@@ -1,6 +1,6 @@
 (* Tests for the parallel search engine (Repro_engine): pool lifecycle,
-   deterministic parallel map/reduce, shared incumbent store, portfolio
-   runner — and the determinism contract of the metaopt wiring (parallel
+   deterministic parallel map/reduce, shared incumbent store — and the
+   determinism contract of the metaopt wiring (parallel
    oracle scoring and POP averaging bit-identical to serial).
 
    The "smoke" suite runs the end-to-end fig1 anchor under the job count
@@ -241,21 +241,7 @@ let test_incumbent_monotone_concurrent () =
   (match E.Incumbent.best inc with
   | None -> Alcotest.fail "no incumbent"
   | Some (_, s) -> check_float "best is max proposed" max_score s);
-  check_float "best_score agrees" max_score (E.Incumbent.best_score inc);
-  (* the trace is strictly increasing under any interleaving *)
-  let trace = E.Incumbent.trace inc in
-  let rec strictly_increasing = function
-    | (_, a) :: ((_, b) :: _ as rest) -> a < b && strictly_increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "trace strictly increasing" true
-    (strictly_increasing (List.map (fun x -> x) trace));
-  let updates, proposals = E.Incumbent.stats inc in
-  Alcotest.(check int) "all proposals counted" (2 * per_worker * workers)
-    proposals;
-  Alcotest.(check bool) "updates bounded" true
-    (updates >= 1 && updates <= proposals);
-  Alcotest.(check int) "trace length = updates" updates (List.length trace)
+  check_float "best_score agrees" max_score (E.Incumbent.best_score inc)
 
 let test_incumbent_empty () =
   let inc : int E.Incumbent.t = E.Incumbent.create () in
@@ -263,87 +249,24 @@ let test_incumbent_empty () =
   Alcotest.(check bool) "neg_infinity" true
     (E.Incumbent.best_score inc = neg_infinity)
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio runner                                                    *)
-(* ------------------------------------------------------------------ *)
+(* Strict improvement only: a tie or a lower score leaves the first
+   incumbent in place. *)
+let test_incumbent_strict () =
+  let inc : string E.Incumbent.t = E.Incumbent.create () in
+  Alcotest.(check bool) "first accepted" true (E.Incumbent.propose inc "a" 5.);
+  Alcotest.(check bool) "tie rejected" false (E.Incumbent.propose inc "b" 5.);
+  Alcotest.(check bool) "lower rejected" false (E.Incumbent.propose inc "c" 4.);
+  Alcotest.(check (option (pair string (float 0.)))) "first kept"
+    (Some ("a", 5.)) (E.Incumbent.best inc);
+  Alcotest.(check bool) "higher accepted" true (E.Incumbent.propose inc "d" 6.);
+  Alcotest.(check (option (pair string (float 0.)))) "replaced"
+    (Some ("d", 6.)) (E.Incumbent.best inc)
 
-let strategy name scores =
-  {
-    E.Portfolio.name;
-    run =
-      (fun ~incumbent ~should_stop ->
-        List.iter
-          (fun s ->
-            if not (should_stop ()) then
-              ignore (E.Incumbent.propose incumbent name s))
-          scores);
-  }
-
-let test_portfolio_race () =
-  let incumbent = E.Incumbent.create () in
-  let outcomes =
-    E.Pool.with_pool ~domains:test_jobs (fun pool ->
-        E.Portfolio.run ~pool ~incumbent
-          [ strategy "low" [ 1.; 3.; 5. ]; strategy "high" [ 2.; 10. ] ])
-  in
-  check_float "best across strategies" 10. (E.Incumbent.best_score incumbent);
-  Alcotest.(check int) "one outcome per strategy" 2 (List.length outcomes);
-  List.iter
-    (fun o ->
-      Alcotest.(check bool)
-        (o.E.Portfolio.name ^ " completed")
-        true
-        (o.E.Portfolio.status = E.Portfolio.Completed))
-    outcomes
-
-let test_portfolio_serial_early_exit () =
-  let incumbent = E.Incumbent.create () in
-  let ran_third = ref false in
-  let outcomes =
-    E.Portfolio.run ~stop_when:(fun s -> s >= 7.) ~incumbent
-      [
-        strategy "first" [ 2. ];
-        strategy "second" [ 8. ];
-        {
-          E.Portfolio.name = "third";
-          run = (fun ~incumbent:_ ~should_stop:_ -> ran_third := true);
-        };
-      ]
-  in
-  Alcotest.(check bool) "third skipped" false !ran_third;
-  (match outcomes with
-  | [ a; b; c ] ->
-      Alcotest.(check bool) "first done" true (a.E.Portfolio.status = E.Portfolio.Completed);
-      Alcotest.(check bool) "second done" true (b.E.Portfolio.status = E.Portfolio.Completed);
-      Alcotest.(check bool) "third skipped status" true
-        (c.E.Portfolio.status = E.Portfolio.Skipped)
-  | _ -> Alcotest.fail "expected three outcomes");
-  check_float "stopped at target" 8. (E.Incumbent.best_score incumbent)
-
-let test_portfolio_failure_isolated () =
-  let incumbent = E.Incumbent.create () in
-  let outcomes =
-    E.Pool.with_pool ~domains:2 (fun pool ->
-        E.Portfolio.run ~pool ~incumbent
-          [
-            {
-              E.Portfolio.name = "crash";
-              run = (fun ~incumbent:_ ~should_stop:_ -> failwith "exploded");
-            };
-            strategy "survivor" [ 4. ];
-          ])
-  in
-  (match outcomes with
-  | [ crash; survivor ] ->
-      (match crash.E.Portfolio.status with
-      | E.Portfolio.Failed msg ->
-          Alcotest.(check bool) "message captured" true
-            (String.length msg > 0)
-      | _ -> Alcotest.fail "expected Failed");
-      Alcotest.(check bool) "survivor completed" true
-        (survivor.E.Portfolio.status = E.Portfolio.Completed)
-  | _ -> Alcotest.fail "expected two outcomes");
-  check_float "survivor's score kept" 4. (E.Incumbent.best_score incumbent)
+let test_jobs_clamp () =
+  Alcotest.(check int) "zero is serial" 1 (E.Jobs.clamp 0);
+  Alcotest.(check int) "negative is serial" 1 (E.Jobs.clamp (-3));
+  Alcotest.(check int) "in range kept" 5 (E.Jobs.clamp 5);
+  Alcotest.(check int) "ceiling" E.Jobs.max_jobs (E.Jobs.clamp (E.Jobs.max_jobs + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Metaopt determinism: parallel oracle scoring == serial              *)
@@ -442,40 +365,22 @@ let test_smoke_whitebox_jobs () =
   let verified = Option.get (Evaluate.gap ev r.Adversary.demands) in
   Alcotest.(check (float 1e-5)) "witness verified" r.Adversary.gap verified
 
-let test_smoke_portfolio_jobs () =
+(* The tree's bound under REPRO_TEST_JOBS: present, above the gap, and
+   the same gap and bound as the serial search. *)
+let test_smoke_whitebox_bound_jobs () =
   let ev = fig1_ev () in
-  let options =
-    {
-      Adversary.default_options with
-      jobs = test_jobs;
-      search =
-        Adversary.Portfolio
-          {
-            Adversary.blackbox_seeds = [ 1 ];
-            blackbox_time = 0.5;
-            sweep_probes = 0;
-            target_gap = Some 100.;
-          };
-      bb =
-        {
-          Adversary.default_options.Adversary.bb with
-          Repro_lp.Branch_bound.time_limit = 10.;
-          stall_time = 3.;
-        };
-    }
+  let run jobs = Adversary.find ev ~options:{ Adversary.default_options with jobs } () in
+  let r = run test_jobs and serial = run 1 in
+  let bound r =
+    match r.Adversary.upper_bound with
+    | Some ub -> ub
+    | None -> Alcotest.fail "expected a bound"
   in
-  let r = Adversary.find ev ~options () in
-  Alcotest.(check (float 0.5)) "portfolio reaches fig1 gap 100" 100.
+  Alcotest.(check bool) "bound >= gap" true
+    (bound r >= r.Adversary.gap -. 1e-6);
+  Alcotest.(check (float 0.5)) "gap as serial" serial.Adversary.gap
     r.Adversary.gap;
-  let verified = Option.get (Evaluate.gap ev r.Adversary.demands) in
-  Alcotest.(check (float 1e-5)) "witness verified" r.Adversary.gap verified;
-  (* the trace comes from the shared store: strictly increasing *)
-  let rec strictly_increasing = function
-    | (_, a) :: ((_, b) :: _ as rest) -> a < b && strictly_increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "incumbent trace strictly increasing" true
-    (strictly_increasing r.Adversary.trace)
+  Alcotest.(check (float 0.5)) "bound as serial" (bound serial) (bound r)
 
 let () =
   Alcotest.run "engine"
@@ -508,19 +413,13 @@ let () =
             test_parallel_min_work_serial;
           Alcotest.test_case "exception" `Quick test_parallel_map_exception;
         ] );
+      ("jobs", [ Alcotest.test_case "clamp" `Quick test_jobs_clamp ]);
       ( "incumbent",
         [
           Alcotest.test_case "concurrent monotonicity" `Quick
             test_incumbent_monotone_concurrent;
           Alcotest.test_case "empty" `Quick test_incumbent_empty;
-        ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "race" `Quick test_portfolio_race;
-          Alcotest.test_case "serial early exit" `Quick
-            test_portfolio_serial_early_exit;
-          Alcotest.test_case "failure isolated" `Quick
-            test_portfolio_failure_isolated;
+          Alcotest.test_case "strict improvement" `Quick test_incumbent_strict;
         ] );
       ( "determinism",
         [
@@ -534,6 +433,7 @@ let () =
       ( "smoke",
         [
           Alcotest.test_case "whitebox fig1" `Quick test_smoke_whitebox_jobs;
-          Alcotest.test_case "portfolio fig1" `Quick test_smoke_portfolio_jobs;
+          Alcotest.test_case "whitebox fig1 bound" `Quick
+            test_smoke_whitebox_bound_jobs;
         ] );
     ]

@@ -242,6 +242,69 @@ let test_evaluate_dp_infeasible () =
   Alcotest.(check bool) "infeasible pinning = None" true
     (Evaluate.gap ev [| 8.; 8. |] = None)
 
+(* A cache hook is consulted before any solve: cached values are
+   returned as they are (no insert), and a cached infeasibility makes
+   the gap [None] without an OPT lookup. *)
+let test_evaluate_cache_hook_answers_first () =
+  let pathset = fig1_pathset () in
+  let demand = fig1_demand pathset ~d01:130. ~d12:180. ~d02:50. in
+  let inserts = ref 0 and opt_lookups = ref 0 in
+  let hook heur =
+    {
+      Evaluate.lookup =
+        (fun ~tag _ ->
+          if tag = "opt" then (
+            incr opt_lookups;
+            Some (Some 500.))
+          else Some heur);
+      insert = (fun ~tag:_ _ _ -> incr inserts);
+    }
+  in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let cached = Evaluate.with_cache ev (Some (hook (Some 123.))) in
+  check_float "gap from cached values" 377.
+    (Option.get (Evaluate.gap cached demand));
+  let infeasible = Evaluate.with_cache ev (Some (hook None)) in
+  opt_lookups := 0;
+  Alcotest.(check bool) "cached infeasibility" true
+    (Evaluate.gap infeasible demand = None);
+  Alcotest.(check int) "no OPT lookup for an infeasible input" 0 !opt_lookups;
+  Alcotest.(check int) "hits insert nothing" 0 !inserts
+
+(* A memoising hook leaves every value unchanged and turns a repeated
+   query into a lookup: one OPT and one heuristic insert per distinct
+   demand. *)
+let test_evaluate_memo_hook_transparent () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let table = Hashtbl.create 16 and inserts = ref 0 in
+  let hook =
+    {
+      Evaluate.lookup = (fun ~tag d -> Hashtbl.find_opt table (tag, d));
+      insert =
+        (fun ~tag d v ->
+          incr inserts;
+          Hashtbl.replace table (tag, Array.copy d) v);
+    }
+  in
+  let memo = Evaluate.with_cache ev (Some hook) in
+  let demands =
+    [
+      fig1_demand pathset ~d01:130. ~d12:180. ~d02:50.;
+      fig1_demand pathset ~d01:10. ~d12:20. ~d02:30.;
+      fig1_demand pathset ~d01:180. ~d12:0. ~d02:180.;
+    ]
+  in
+  List.iter
+    (fun d ->
+      let plain = Evaluate.gap ev d in
+      Alcotest.(check (option (float 1e-9))) "first query" plain
+        (Evaluate.gap memo d);
+      Alcotest.(check (option (float 1e-9))) "repeated query" plain
+        (Evaluate.gap memo d))
+    demands;
+  Alcotest.(check int) "one opt + one heur insert per demand" 6 !inserts
+
 (* ------------------------------------------------------------------ *)
 (* Input constraints                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -347,6 +410,23 @@ let test_constraints_apply_to_model () =
   Alcotest.(check (float 1e-4)) "tightest bound wins"
     (Float.min 60. (0.55 *. 60. /. 0.45))
     r.Solver.objective
+
+let test_constraints_none () =
+  let d = [| 0.; 1e6; 3.5 |] in
+  Alcotest.(check bool) "anything goes" true
+    (Input_constraints.satisfied Input_constraints.none d);
+  Alcotest.(check (array (float 0.))) "projection is the identity" d
+    (Input_constraints.project Input_constraints.none d)
+
+let test_constraints_project_clamps_box () =
+  let c =
+    Input_constraints.box ~lower:[| 5.; 0.; 1. |] ~upper:[| 10.; 20.; 2. |] ()
+  in
+  Alcotest.(check (array (float 0.))) "clamped to the nearest bound"
+    [| 5.; 20.; 1.5 |]
+    (Input_constraints.project c [| -3.; 99.; 1.5 |]);
+  Alcotest.(check bool) "below lower rejected" false
+    (Input_constraints.satisfied c [| 4.; 0.; 1. |])
 
 (* ------------------------------------------------------------------ *)
 (* Gap problem encodings vs oracle                                     *)
@@ -541,20 +621,158 @@ let test_whitebox_pop_small () =
   let verified = Option.get (Evaluate.gap ev r.Adversary.demands) in
   check_float "verified" r.Adversary.gap verified
 
-let test_whitebox_binary_sweep () =
+(* Every bound the adversary reports comes from the branch-and-bound
+   tree, so it can never sit below a gap that is known to exist. b4 DP
+   at threshold 500: probing alone finds a verified gap (13 000); the
+   tree without probing, cut to a few nodes, must still bound it. *)
+let test_whitebox_bound_is_sound () =
+  let g = Topologies.b4 () in
+  let pathset = Pathset.compute (Demand.full_space g) ~k:2 in
+  let ev = Evaluate.make_dp pathset ~threshold:500. in
+  let probed =
+    Adversary.find ev
+      ~options:{ Adversary.default_options with run_milp = false }
+      ()
+  in
+  Alcotest.(check bool) "probe-only run reports no bound" true
+    (probed.Adversary.upper_bound = None);
+  let known = probed.Adversary.gap in
+  check_float "probed gap verified" known
+    (Option.get (Evaluate.gap ev probed.Adversary.demands));
+  check_float "probing finds the known gap" 13000. known;
+  List.iter
+    (fun jobs ->
+      let options =
+        {
+          Adversary.default_options with
+          search = Adversary.Direct;
+          probe_budget = 0;
+          jobs;
+          bb =
+            {
+              Branch_bound.default_options with
+              node_limit = 4;
+              time_limit = 30.;
+              stall_time = 30.;
+            };
+        }
+      in
+      let r = Adversary.find ev ~options () in
+      match r.Adversary.upper_bound with
+      | None -> Alcotest.fail "the tree reports a bound"
+      | Some ub ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: bound %.1f >= known gap %.1f" jobs ub
+               known)
+            true
+            (ub >= known -. 1e-6))
+    [ 1; 2 ]
+
+(* [oracle_calls] counts every oracle evaluation of a find — probe
+   candidates, probe refinement and the tree's primal heuristic —
+   serially and with the probes fanned out over a pool. A pass-through
+   cache hook sees each [Evaluate.gap] as one "heur" insert;
+   [assemble_result] adds one more when it re-reads the winner. fig1's
+   POP candidates repeat (8 candidates, 3 distinct), which the pooled
+   probe pass must not score twice. *)
+let test_whitebox_oracle_calls_counted () =
+  let pathset = fig1_pathset () in
+  let dp = Evaluate.make_dp pathset ~threshold:50. in
+  let pop =
+    Evaluate.make_pop pathset ~parts:2 ~instances:2 ~rng:(Rng.create 1) ()
+  in
+  List.iter
+    (fun (what, ev, jobs, run_milp) ->
+      let heur_inserts = Atomic.make 0 in
+      let hook =
+        {
+          Evaluate.lookup = (fun ~tag:_ _ -> None);
+          insert =
+            (fun ~tag _ _ -> if tag = "heur" then Atomic.incr heur_inserts);
+        }
+      in
+      let r =
+        Adversary.find
+          (Evaluate.with_cache ev (Some hook))
+          ~options:{ Adversary.default_options with jobs; run_milp }
+          ()
+      in
+      Alcotest.(check bool) (what ^ ": calls counted") true
+        (r.Adversary.stats.Adversary.oracle_calls > 0);
+      Alcotest.(check int)
+        (what ^ ": oracle_calls = Evaluate.gap calls")
+        (Atomic.get heur_inserts - 1)
+        r.Adversary.stats.Adversary.oracle_calls)
+    [
+      ("dp jobs=1", dp, 1, true);
+      ("dp jobs=2", dp, 2, true);
+      ("pop probes jobs=2", pop, 2, false);
+    ]
+
+(* Probing alone (no tree) on fig1 reaches the maximal gap, runs no
+   node and claims no bound. *)
+let test_whitebox_probe_only () =
   let pathset = fig1_pathset () in
   let ev = Evaluate.make_dp pathset ~threshold:50. in
-  let options =
-    {
-      Adversary.default_options with
-      search = Adversary.Binary_sweep { probes = 4; probe_time = 5. };
-    }
+  let r =
+    Adversary.find ev
+      ~options:{ Adversary.default_options with run_milp = false }
+      ()
   in
-  let r = Adversary.find ev ~options () in
-  Alcotest.(check bool) "sweep finds a large gap" true (r.Adversary.gap >= 90.);
-  match r.Adversary.upper_bound with
-  | Some ub -> Alcotest.(check bool) "bound above gap" true (ub >= r.Adversary.gap -. 1e-6)
-  | None -> Alcotest.fail "sweep reports a bound"
+  Alcotest.(check bool) "no bound" true (r.Adversary.upper_bound = None);
+  Alcotest.(check int) "no tree nodes" 0 r.Adversary.stats.Adversary.nodes;
+  check_float "probes reach 100" 100. r.Adversary.gap;
+  check_float "witness verified" r.Adversary.gap
+    (Option.get (Evaluate.gap ev r.Adversary.demands))
+
+(* The tree's bound covers every input in the search box: each probe
+   candidate and a batch of random demands scores at most the bound. *)
+let test_whitebox_bound_caps_inputs () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let r =
+    Adversary.find ev
+      ~options:{ Adversary.default_options with demand_ub = Some 180. }
+      ()
+  in
+  let ub =
+    match r.Adversary.upper_bound with
+    | Some ub -> ub
+    | None -> Alcotest.fail "expected a bound"
+  in
+  let rng = Rng.create 17 in
+  let inputs =
+    Probes.dp_candidates pathset ~threshold:50. ~demand_ub:180.
+    @ List.init 40 (fun _ ->
+          Demand.uniform (Pathset.space pathset) ~rng ~max:180.)
+  in
+  List.iter
+    (fun d ->
+      match Evaluate.gap ev d with
+      | None -> ()
+      | Some g ->
+          Alcotest.(check bool)
+            (Printf.sprintf "gap %.2f <= bound %.2f" g ub)
+            true
+            (g <= ub +. 1e-6))
+    inputs
+
+(* With probing off the tree's own primal heuristic still reaches the
+   fig1 maximum, and its oracle calls are counted. *)
+let test_whitebox_tree_without_probes () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let r =
+    Adversary.find ev
+      ~options:{ Adversary.default_options with probe_budget = 0 }
+      ()
+  in
+  Alcotest.(check (float 0.5)) "gap 100" 100. r.Adversary.gap;
+  (match r.Adversary.upper_bound with
+  | Some ub -> Alcotest.(check bool) "bound >= gap" true (ub >= 100. -. 1e-6)
+  | None -> Alcotest.fail "expected a bound");
+  Alcotest.(check bool) "heuristic calls counted" true
+    (r.Adversary.stats.Adversary.oracle_calls > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Black-box baselines                                                 *)
@@ -602,6 +820,66 @@ let test_blackbox_respects_constraints () =
   Alcotest.(check bool) "bounded demands" true
     (Array.for_all (fun d -> d <= 40. +. 1e-9) r.Blackbox.demands)
 
+(* Under an evaluation cap (and a time limit far away) a walk stops at
+   the cap and repeats exactly for the same seed. *)
+let check_evaluation_cap name run =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let options =
+    { Blackbox.default_options with time_limit = 60.; max_evaluations = 40 }
+  in
+  let a = run ev ~rng:(Rng.create 5) ~options () in
+  let b = run ev ~rng:(Rng.create 5) ~options () in
+  Alcotest.(check int) (name ^ ": stops at the cap") 40 a.Blackbox.evaluations;
+  Alcotest.(check int) (name ^ ": same count") a.Blackbox.evaluations
+    b.Blackbox.evaluations;
+  Alcotest.(check (float 0.)) (name ^ ": same gap") a.Blackbox.gap
+    b.Blackbox.gap;
+  Alcotest.(check (array (float 0.))) (name ^ ": same input") a.Blackbox.demands
+    b.Blackbox.demands
+
+let test_blackbox_hill_climb_cap () =
+  check_evaluation_cap "hill climb" (fun ev ~rng ~options () ->
+      Blackbox.hill_climb ev ~rng ~options ())
+
+let test_blackbox_sa_cap () =
+  check_evaluation_cap "annealing" (fun ev ~rng ~options () ->
+      Blackbox.simulated_annealing ev ~rng ~options ())
+
+(* [evaluations] counts oracle calls: with a pass-through cache hook,
+   one heuristic insert per evaluation. *)
+let test_blackbox_evaluations_are_oracle_calls () =
+  let pathset = fig1_pathset () in
+  let heur_inserts = ref 0 in
+  let hook =
+    {
+      Evaluate.lookup = (fun ~tag:_ _ -> None);
+      insert = (fun ~tag _ _ -> if tag = "heur" then incr heur_inserts);
+    }
+  in
+  let ev =
+    Evaluate.with_cache (Evaluate.make_dp pathset ~threshold:50.) (Some hook)
+  in
+  let options =
+    { Blackbox.default_options with time_limit = 60.; max_evaluations = 60 }
+  in
+  let r = Blackbox.hill_climb ev ~rng:(Rng.create 9) ~options () in
+  Alcotest.(check int) "evaluations = heuristic solves" !heur_inserts
+    r.Blackbox.evaluations
+
+let test_blackbox_trace_monotone () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let options =
+    { Blackbox.default_options with time_limit = 60.; max_evaluations = 200 }
+  in
+  let r = Blackbox.hill_climb ev ~rng:(Rng.create 3) ~options () in
+  let gaps = List.map snd r.Blackbox.trace in
+  Alcotest.(check bool) "non-empty trace" true (gaps <> []);
+  Alcotest.(check (list (float 1e-9))) "monotone" (List.sort compare gaps) gaps;
+  check_float "ends at the reported gap" r.Blackbox.gap
+    (List.fold_left Float.max neg_infinity gaps)
+
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -636,8 +914,89 @@ let test_probes_refine_keeps_best () =
     Probes.refine ev ~constraints:Input_constraints.none ~budget:100
       ~levels:[ 0.; 50.; 180. ] start
   with
-  | None -> Alcotest.fail "refine lost a feasible start"
-  | Some (_, g) -> Alcotest.(check bool) "never worse than start" true (g >= 100.)
+  | None, _ -> Alcotest.fail "refine lost a feasible start"
+  | Some (_, g), calls ->
+      Alcotest.(check bool) "never worse than start" true (g >= 100.);
+      Alcotest.(check bool) "calls within budget + start" true
+        (calls >= 1 && calls <= 101)
+
+let test_probes_refine_zero_budget () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let start = fig1_demand pathset ~d01:130. ~d12:180. ~d02:50. in
+  match
+    Probes.refine ev ~constraints:Input_constraints.none ~budget:0
+      ~levels:[ 0.; 50.; 180. ] start
+  with
+  | None, _ -> Alcotest.fail "refine lost a feasible start"
+  | Some (d, g), calls ->
+      Alcotest.(check int) "only the start is scored" 1 calls;
+      check_float "start's gap" 100. g;
+      Alcotest.(check (array (float 0.))) "start kept" start d
+
+(* An infeasible start (DP pinning overload) yields nothing, after one
+   oracle call. *)
+let test_probes_refine_infeasible_start () =
+  let g = Graph.create ~num_nodes:3 () in
+  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:10. () in
+  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:10. () in
+  let space = Demand.space_of_pairs g [| (0, 1); (0, 2) |] in
+  let pathset = Pathset.compute space ~k:1 in
+  let ev = Evaluate.make_dp pathset ~threshold:8. in
+  match
+    Probes.refine ev ~constraints:Input_constraints.none ~budget:10
+      ~levels:[ 0.; 8. ] [| 8.; 8. |]
+  with
+  | None, calls -> Alcotest.(check int) "one call" 1 calls
+  | Some _, _ -> Alcotest.fail "infeasible start accepted"
+
+(* [score] projects into the box before scoring and rejects what the
+   projection cannot repair (a [>=] intra-input row). *)
+let test_probes_score_projects () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let n = Pathset.num_pairs pathset in
+  let box = Input_constraints.box ~upper:(Array.make n 40.) () in
+  let wild = Array.make n 1000. in
+  (match Probes.score ev ~constraints:box wild with
+  | None -> Alcotest.fail "box projection should repair the input"
+  | Some (d, g) ->
+      Alcotest.(check bool) "projected into the box" true
+        (Input_constraints.satisfied box d);
+      check_float "scored at the projection" (Option.get (Evaluate.gap ev d)) g);
+  let floor0 =
+    {
+      Input_constraints.none with
+      intra =
+        [
+          {
+            Input_constraints.terms = [ (0, 1.) ];
+            avg_coef = 0.;
+            sense = Model.Ge;
+            bound = 10.;
+          };
+        ];
+    }
+  in
+  Alcotest.(check bool) "intra violation rejected" true
+    (Probes.score ev ~constraints:floor0 (Array.make n 0.) = None)
+
+let test_probes_best_candidate_skips_infeasible () =
+  let g = Graph.create ~num_nodes:3 () in
+  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:10. () in
+  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:10. () in
+  let space = Demand.space_of_pairs g [| (0, 1); (0, 2) |] in
+  let pathset = Pathset.compute space ~k:1 in
+  let ev = Evaluate.make_dp pathset ~threshold:8. in
+  let constraints = Input_constraints.none in
+  Alcotest.(check bool) "no candidates" true
+    (Probes.best_candidate ev ~constraints [] = None);
+  Alcotest.(check bool) "only infeasible" true
+    (Probes.best_candidate ev ~constraints [ [| 8.; 8. |] ] = None);
+  match Probes.best_candidate ev ~constraints [ [| 8.; 8. |]; [| 2.; 2. |] ] with
+  | Some (d, _) ->
+      Alcotest.(check (array (float 0.))) "feasible one wins" [| 2.; 2. |] d
+  | None -> Alcotest.fail "feasible candidate dropped"
 
 let test_probes_pop_candidates () =
   let g = Topologies.line ~n:4 () in
@@ -669,56 +1028,6 @@ let test_probes_pop_candidates () =
   in
   Alcotest.(check bool) "has single-part concentrations" true
     (List.length concentrated >= 2)
-
-(* ------------------------------------------------------------------ *)
-(* Extensions: exclusions / diverse inputs (paper section 5)           *)
-(* ------------------------------------------------------------------ *)
-
-let test_exclusion_semantics () =
-  let c = Input_constraints.exclude_ball ~center:[| 10.; 0. |] ~radius:2. in
-  Alcotest.(check bool) "center excluded" false
-    (Input_constraints.satisfied c [| 10.; 0. |]);
-  Alcotest.(check bool) "inside excluded" false
-    (Input_constraints.satisfied c [| 9.; 1. |]);
-  Alcotest.(check bool) "boundary allowed" true
-    (Input_constraints.satisfied c [| 8.; 0. |]);
-  Alcotest.(check bool) "outside allowed" true
-    (Input_constraints.satisfied c [| 10.; 5. |]);
-  let projected = Input_constraints.project c [| 9.5; 0.5 |] in
-  Alcotest.(check bool) "projection escapes" true
-    (Input_constraints.satisfied c projected)
-
-let test_exclusion_milp_encoding () =
-  (* max d0 - 0.1 d1 on [0,10]^2, excluding the ball around (10, 0) of
-     radius 2: optimum escapes via d1 = 2 giving 10 - 0.2 = 9.8 *)
-  let model = Model.create () in
-  let dvars = Model.add_vars ~ub:10. model 2 in
-  Input_constraints.apply model ~demand_vars:dvars
-    (Input_constraints.exclude_ball ~center:[| 10.; 0. |] ~radius:2.);
-  Model.set_objective model Model.Maximize
-    Linexpr.(sub (var dvars.(0)) (var ~coef:0.1 dvars.(1)));
-  let r = Solver.solve model in
-  Alcotest.(check (float 1e-5)) "escape via d1" 9.8 r.Branch_bound.objective
-
-let test_find_diverse () =
-  let pathset = fig1_pathset () in
-  let ev = Evaluate.make_dp pathset ~threshold:50. in
-  let results = Adversary.find_diverse ev ~count:2 ~radius:25. () in
-  Alcotest.(check int) "two inputs" 2 (List.length results);
-  match results with
-  | [ a; b ] ->
-      check_float "first is the global max" 100. a.Adversary.gap;
-      Alcotest.(check bool) "second is positive" true (b.Adversary.gap > 0.);
-      Alcotest.(check bool) "second no better" true
-        (b.Adversary.gap <= a.Adversary.gap +. 1e-6);
-      (* the two inputs differ by >= radius in some coordinate *)
-      let max_dev =
-        Array.fold_left Float.max 0.
-          (Array.map2 (fun x y -> Float.abs (x -. y)) a.Adversary.demands
-             b.Adversary.demands)
-      in
-      Alcotest.(check bool) "diverse" true (max_dev >= 25. -. 1e-6)
-  | _ -> Alcotest.fail "expected two"
 
 (* ------------------------------------------------------------------ *)
 (* Extensions: quantized demand grid (section 5, scaling)              *)
@@ -830,50 +1139,6 @@ let test_client_split_encoding_matches_oracle () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: sufficient conditions (section 5)                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_sufficient_conditions_fig1 () =
-  (* family: all demands bounded by r. On fig1 with T = 50 the worst gap
-     as a function of r is max(0, r - 80) (see test_te for the flow
-     arithmetic), so a gap budget of 20 admits exactly r* = 100 *)
-  let pathset = fig1_pathset () in
-  let ev = Evaluate.make_dp pathset ~threshold:50. in
-  let n = Pathset.num_pairs pathset in
-  let family r = Input_constraints.box ~upper:(Array.make n r) () in
-  let r =
-    Sufficient_conditions.search ev ~family ~lo:50. ~hi:180. ~gap_budget:20.
-      ~probes:9 ()
-  in
-  (match r.Sufficient_conditions.accepted with
-  | None -> Alcotest.fail "expected an accepted parameter"
-  | Some accepted ->
-      Alcotest.(check (float 3.)) "largest safe bound" 100. accepted);
-  Alcotest.(check bool) "probes recorded" true
-    (List.length r.Sufficient_conditions.probes >= 5);
-  (* every probe's found gap is within its own parameter's theory value *)
-  List.iter
-    (fun p ->
-      let expected = Float.max 0. (p.Sufficient_conditions.parameter -. 80.) in
-      Alcotest.(check bool) "probe gap below theory" true
-        (p.Sufficient_conditions.worst_gap <= expected +. 1.))
-    r.Sufficient_conditions.probes;
-  Alcotest.(check bool) "certified by the MILP bound" true
-    r.Sufficient_conditions.certified
-
-let test_sufficient_conditions_budget_unreachable () =
-  let pathset = fig1_pathset () in
-  let ev = Evaluate.make_dp pathset ~threshold:50. in
-  let n = Pathset.num_pairs pathset in
-  let family r = Input_constraints.box ~upper:(Array.make n r) () in
-  (* even r = 150 has worst gap 70 > 5: no acceptance *)
-  let r =
-    Sufficient_conditions.search ev ~family ~lo:150. ~hi:180. ~gap_budget:5.
-      ~probes:3 ()
-  in
-  Alcotest.(check bool) "rejected" true (r.Sufficient_conditions.accepted = None)
-
-(* ------------------------------------------------------------------ *)
 (* Extensions: capacity (topology-change) adversary (section 5)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -947,6 +1212,10 @@ let () =
           Alcotest.test_case "pop average" `Quick test_evaluate_pop_average;
           Alcotest.test_case "pop tail" `Quick test_evaluate_pop_kth_smallest;
           Alcotest.test_case "dp infeasible" `Quick test_evaluate_dp_infeasible;
+          Alcotest.test_case "cache hook answers first" `Quick
+            test_evaluate_cache_hook_answers_first;
+          Alcotest.test_case "memo hook transparent" `Quick
+            test_evaluate_memo_hook_transparent;
         ] );
       ( "constraints",
         [
@@ -956,6 +1225,9 @@ let () =
           Alcotest.test_case "factor of average" `Quick test_constraints_within_factor_of_average;
           Alcotest.test_case "hose model" `Quick test_constraints_hose_model;
           Alcotest.test_case "apply to model" `Quick test_constraints_apply_to_model;
+          Alcotest.test_case "none" `Quick test_constraints_none;
+          Alcotest.test_case "project clamps box" `Quick
+            test_constraints_project_clamps_box;
         ] );
       ( "encodings",
         [
@@ -971,7 +1243,14 @@ let () =
           Alcotest.test_case "trace monotone" `Quick test_whitebox_trace_monotone;
           Alcotest.test_case "constrained" `Quick test_whitebox_respects_constraints;
           Alcotest.test_case "pop small" `Quick test_whitebox_pop_small;
-          Alcotest.test_case "binary sweep" `Quick test_whitebox_binary_sweep;
+          Alcotest.test_case "bound is sound" `Quick test_whitebox_bound_is_sound;
+          Alcotest.test_case "oracle calls counted" `Quick
+            test_whitebox_oracle_calls_counted;
+          Alcotest.test_case "probe only" `Quick test_whitebox_probe_only;
+          Alcotest.test_case "bound caps inputs" `Quick
+            test_whitebox_bound_caps_inputs;
+          Alcotest.test_case "tree without probes" `Quick
+            test_whitebox_tree_without_probes;
         ] );
       ( "blackbox",
         [
@@ -979,26 +1258,33 @@ let () =
           Alcotest.test_case "simulated annealing" `Quick test_blackbox_sa_fig1;
           Alcotest.test_case "whitebox >= blackbox" `Quick test_whitebox_beats_blackbox_fig1;
           Alcotest.test_case "constraints" `Quick test_blackbox_respects_constraints;
+          Alcotest.test_case "hill climb evaluation cap" `Quick
+            test_blackbox_hill_climb_cap;
+          Alcotest.test_case "annealing evaluation cap" `Quick
+            test_blackbox_sa_cap;
+          Alcotest.test_case "evaluations are oracle calls" `Quick
+            test_blackbox_evaluations_are_oracle_calls;
+          Alcotest.test_case "trace monotone" `Quick test_blackbox_trace_monotone;
         ] );
       ( "probes",
         [
           Alcotest.test_case "dp candidates" `Quick test_probes_dp_candidates;
           Alcotest.test_case "refine keeps best" `Quick test_probes_refine_keeps_best;
           Alcotest.test_case "pop candidates" `Quick test_probes_pop_candidates;
+          Alcotest.test_case "refine zero budget" `Quick
+            test_probes_refine_zero_budget;
+          Alcotest.test_case "refine infeasible start" `Quick
+            test_probes_refine_infeasible_start;
+          Alcotest.test_case "score projects" `Quick test_probes_score_projects;
+          Alcotest.test_case "best candidate skips infeasible" `Quick
+            test_probes_best_candidate_skips_infeasible;
         ] );
       ( "extensions",
         [
-          Alcotest.test_case "exclusion semantics" `Quick test_exclusion_semantics;
-          Alcotest.test_case "exclusion milp" `Quick test_exclusion_milp_encoding;
-          Alcotest.test_case "diverse inputs" `Quick test_find_diverse;
           Alcotest.test_case "quantized grid" `Quick test_quantized_gap_problem;
           Alcotest.test_case "quantized adversary" `Quick test_quantized_adversary;
           Alcotest.test_case "client-split encoding" `Quick
             test_client_split_encoding_matches_oracle;
-          Alcotest.test_case "sufficient conditions" `Quick
-            test_sufficient_conditions_fig1;
-          Alcotest.test_case "sufficient conditions unreachable" `Quick
-            test_sufficient_conditions_budget_unreachable;
           Alcotest.test_case "capacity adversary" `Quick
             test_capacity_adversary_fig1;
           Alcotest.test_case "capacity pinning feasibility" `Quick

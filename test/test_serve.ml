@@ -872,6 +872,43 @@ let test_daemon_find_gap_and_unknown_topology () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "connect: %s" e)
 
+(* A white-box find-gap answers with a proven bound: on fig1 DP at the
+   default threshold the tree closes, so gap = upper_bound = 18, and the
+   reply counts the oracle calls the search made. *)
+let test_daemon_whitebox_bound () =
+  let socket_path = temp_path "d8.sock" in
+  with_daemon (S.Daemon.default_config ~socket_path) (fun sock ->
+      let result =
+        S.Client.with_connection sock (fun c ->
+            expect_ok "find-gap"
+              (S.Client.call c
+                 (S.Protocol.Find_gap
+                    {
+                      instance =
+                        {
+                          S.Protocol.topology = "fig1";
+                          paths = 2;
+                          heuristic = S.Protocol.Dp { threshold_frac = 0.05 };
+                        };
+                      method_ = S.Protocol.Whitebox;
+                      time = 5.;
+                      seed = 1;
+                      deadline = None;
+                      degrade = false;
+                    })))
+      in
+      match result with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok fg ->
+          Alcotest.(check (option (float 1e-6))) "gap" (Some 18.)
+            (Json.obj_num "gap" fg);
+          Alcotest.(check (option (float 1e-6))) "upper_bound" (Some 18.)
+            (Json.obj_num "upper_bound" fg);
+          Alcotest.(check bool) "oracle calls counted" true
+            (match Json.obj_num "oracle_calls" fg with
+            | Some n -> n > 0.
+            | None -> false))
+
 let test_daemon_persistent_cache () =
   let socket_path = temp_path "d3.sock" in
   let cache_dir = temp_path "d3-cache" in
@@ -1099,7 +1136,7 @@ let sample_requests =
     S.Protocol.Find_gap
       {
         instance = b4_dp_instance;
-        method_ = S.Protocol.Portfolio;
+        method_ = S.Protocol.Whitebox;
         time = 0.75;
         seed = 12;
         deadline = Some 3.;
@@ -1154,9 +1191,32 @@ let test_request_rejects () =
       "{\"op\":\"evaluate\"," ^ instance ^ {|,"demands":{"gen":"uniform"},"deadline":0}|};
       "{\"op\":\"find-gap\"," ^ instance ^ "}";
       "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"guess"}|};
-      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"sweep","time":0}|};
-      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"sweep","degrade":true}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"sweep"}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"portfolio"}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"whitebox","time":0}|};
+      "{\"op\":\"find-gap\"," ^ instance ^ {|,"method":"whitebox","degrade":true}|};
     ]
+
+(* Find-gap takes exactly the three wire methods, each parsed back to
+   the method whose wire name it is. *)
+let test_request_methods () =
+  let instance = {|"topology":"b4","heuristic":{"kind":"dp"}|} in
+  List.iter
+    (fun m ->
+      let name = S.Protocol.method_to_string m in
+      let text =
+        "{\"op\":\"find-gap\"," ^ instance ^ ",\"method\":\"" ^ name ^ "\"}"
+      in
+      match Result.bind (Json.of_string text) S.Protocol.request_of_json with
+      | Ok (S.Protocol.Find_gap { method_; _ }) ->
+          Alcotest.(check bool) (name ^ " parsed") true (method_ = m)
+      | Ok _ -> Alcotest.failf "%s: not a find-gap" text
+      | Error e -> Alcotest.failf "%s: %s" text e)
+    [ S.Protocol.Whitebox; S.Protocol.Hillclimb; S.Protocol.Annealing ];
+  Alcotest.(check (list string)) "wire names"
+    [ "whitebox"; "hillclimb"; "annealing" ]
+    (List.map S.Protocol.method_to_string
+       [ S.Protocol.Whitebox; S.Protocol.Hillclimb; S.Protocol.Annealing ])
 
 (* Garbage, an oversized length header and a torn frame, each on its
    own connection to the daemon's socket: every such connection ends
@@ -1567,6 +1627,8 @@ let () =
             test_daemon_roundtrip;
           Alcotest.test_case "find-gap + bad request" `Quick
             test_daemon_find_gap_and_unknown_topology;
+          Alcotest.test_case "whitebox find-gap is proven" `Quick
+            test_daemon_whitebox_bound;
           Alcotest.test_case "journal survives restart" `Quick
             test_daemon_persistent_cache;
           Alcotest.test_case "bad frames dropped, daemon lives" `Quick
@@ -1597,6 +1659,7 @@ let () =
             test_request_roundtrip;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_rejects;
+          Alcotest.test_case "find-gap methods" `Quick test_request_methods;
         ] );
       ( "client",
         [

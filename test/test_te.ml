@@ -312,141 +312,6 @@ let test_pop_fixed_split_matches_levels () =
   Alcotest.(check (float 1e-6)) "unsplit capped" 50. r2.Pop.total
 
 (* ------------------------------------------------------------------ *)
-(* Max-min fairness                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_max_min_shared_link () =
-  (* two pairs share one 100-capacity link; equal demands split evenly *)
-  let g = Graph.create ~num_nodes:3 () in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 2); (1, 2) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let r = Max_min_fairness.solve pathset [| 80.; 80. |] in
-  Alcotest.(check (float 1e-4)) "pair 0" 50. r.Max_min_fairness.levels.(0);
-  Alcotest.(check (float 1e-4)) "pair 1" 50. r.Max_min_fairness.levels.(1);
-  Alcotest.(check bool) "certified fair" true
-    (Max_min_fairness.is_max_min_fair pathset [| 80.; 80. |] r.Max_min_fairness.levels)
-
-let test_max_min_small_demand_released () =
-  (* the small demand saturates at 20; the big one takes the rest *)
-  let g = Graph.create ~num_nodes:3 () in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 2); (1, 2) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let demand = [| 20.; 500. |] in
-  let r = Max_min_fairness.solve pathset demand in
-  Alcotest.(check (float 1e-4)) "small gets demand" 20. r.Max_min_fairness.levels.(0);
-  Alcotest.(check (float 1e-4)) "big gets remainder" 80. r.Max_min_fairness.levels.(1);
-  Alcotest.(check bool) "certified fair" true
-    (Max_min_fairness.is_max_min_fair pathset demand r.Max_min_fairness.levels)
-
-let test_max_min_unfair_rejected () =
-  let g = Graph.create ~num_nodes:3 () in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 2); (1, 2) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  (* (30, 50) wastes 20 units that pair 0 could use *)
-  Alcotest.(check bool) "not fair" false
-    (Max_min_fairness.is_max_min_fair pathset [| 80.; 80. |] [| 30.; 50. |])
-
-let test_max_min_two_levels () =
-  (* star: leaves 1 and 2 send to leaf 3 through the hub; leaf 1's access
-     link is thin, so it freezes early and leaf 2 takes more *)
-  let g = Graph.create ~num_nodes:4 () in
-  let _ = Graph.add_edge g ~src:1 ~dst:0 ~capacity:10. () in
-  let _ = Graph.add_edge g ~src:2 ~dst:0 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:0 ~dst:3 ~capacity:60. () in
-  let space = Demand.space_of_pairs g [| (1, 3); (2, 3) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let demand = [| 100.; 100. |] in
-  let r = Max_min_fairness.solve pathset demand in
-  Alcotest.(check (float 1e-4)) "thin leaf" 10. r.Max_min_fairness.levels.(0);
-  Alcotest.(check (float 1e-4)) "thick leaf" 50. r.Max_min_fairness.levels.(1);
-  Alcotest.(check bool) "multiple rounds" true (r.Max_min_fairness.rounds >= 2);
-  match
-    Allocation.check r.Max_min_fairness.allocation ~demand ()
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-let max_min_feasible_property =
-  QCheck.Test.make ~count:20 ~name:"max-min allocations are feasible and fair"
-    QCheck.(pair (int_range 0 1000) (int_range 4 6))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let g = Topologies.circle ~n ~neighbors:1 ~capacity:50. () in
-      let space = Demand.full_space g in
-      let pathset = Pathset.compute space ~k:2 in
-      let demand = Demand.uniform space ~rng ~max:60. in
-      let r = Max_min_fairness.solve pathset demand in
-      (match Allocation.check r.Max_min_fairness.allocation ~demand () with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_reportf "infeasible: %s" e);
-      (* levels within demands *)
-      Array.iteri
-        (fun k level ->
-          if level > demand.(k) +. 1e-6 then
-            QCheck.Test.fail_reportf "level above demand on pair %d" k)
-        r.Max_min_fairness.levels;
-      Max_min_fairness.is_max_min_fair pathset demand r.Max_min_fairness.levels)
-
-(* ------------------------------------------------------------------ *)
-(* Utility curves                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_utility_curve_eval () =
-  let c = Utility.curve [ (10., 2.); (10., 1.); (20., 0.5) ] in
-  Alcotest.(check (float 1e-9)) "span" 40. (Utility.span c);
-  Alcotest.(check (float 1e-9)) "first segment" 10. (Utility.value c 5.);
-  Alcotest.(check (float 1e-9)) "kink" 20. (Utility.value c 10.);
-  Alcotest.(check (float 1e-9)) "second" 25. (Utility.value c 15.);
-  Alcotest.(check (float 1e-9)) "beyond span" 40. (Utility.value c 100.);
-  Alcotest.check_raises "convex rejected"
-    (Invalid_argument "Utility.curve: slopes must be non-increasing (concavity)")
-    (fun () -> ignore (Utility.curve [ (1., 1.); (1., 2.) ]))
-
-let test_utility_prefers_high_marginal () =
-  (* one 100-capacity link shared by two pairs; pair 0 has slope 2, pair 1
-     slope 1 with a 30-wide high-value first segment *)
-  let g = Graph.create ~num_nodes:3 () in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 2); (1, 2) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let curves =
-    [|
-      Utility.linear ~slope:2. ~cap:80.;
-      Utility.curve [ (30., 3.); (70., 0.5) ];
-    |]
-  in
-  let r = Utility.solve pathset [| 200.; 200. |] ~curves in
-  (* fill: 30 units at slope 3, 70 at slope 2 (pair 0), remaining 0 at 0.5:
-     utility = 90 + 140 = 230, with 100 total flow *)
-  Alcotest.(check (float 1e-4)) "greedy fill" 230. r.Utility.total_utility;
-  Alcotest.(check (float 1e-4)) "pair 0 flow" 70.
-    (Allocation.flow_of_pair r.Utility.allocation 0);
-  Alcotest.(check (float 1e-4)) "pair 1 flow" 30.
-    (Allocation.flow_of_pair r.Utility.allocation 1)
-
-let test_utility_equals_max_flow_for_unit_slopes () =
-  let g = Topologies.abilene () in
-  let space = Demand.full_space g in
-  let pathset = Pathset.compute space ~k:2 in
-  let rng = Rng.create 41 in
-  let demand = Demand.uniform space ~rng ~max:300. in
-  let cap = Graph.max_capacity g in
-  let curves =
-    Array.make (Demand.size space) (Utility.linear ~slope:1. ~cap)
-  in
-  let u = Utility.solve pathset demand ~curves in
-  let opt = Opt_max_flow.solve pathset demand in
-  Alcotest.(check (float 1e-3)) "unit utility = max flow" opt.Opt_max_flow.total
-    u.Utility.total_utility
-
-(* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -627,19 +492,6 @@ let () =
           Alcotest.test_case "slot helpers" `Quick test_pop_slot_helpers;
           Alcotest.test_case "fixed split levels" `Quick test_pop_fixed_split_matches_levels;
         ] );
-      ( "max_min_fairness",
-        [
-          Alcotest.test_case "shared link" `Quick test_max_min_shared_link;
-          Alcotest.test_case "small demand released" `Quick test_max_min_small_demand_released;
-          Alcotest.test_case "unfair rejected" `Quick test_max_min_unfair_rejected;
-          Alcotest.test_case "two levels" `Quick test_max_min_two_levels;
-        ] );
-      ( "utility",
-        [
-          Alcotest.test_case "curve eval" `Quick test_utility_curve_eval;
-          Alcotest.test_case "greedy fill" `Quick test_utility_prefers_high_marginal;
-          Alcotest.test_case "unit slopes = max flow" `Quick test_utility_equals_max_flow_for_unit_slopes;
-        ] );
       ( "allocation",
         [
           Alcotest.test_case "check violations" `Quick test_allocation_check_catches_violations;
@@ -656,6 +508,5 @@ let () =
           q sorting_network_property;
           q te_feasibility_property;
           q client_split_volume_property;
-          q max_min_feasible_property;
         ] );
     ]

@@ -85,25 +85,9 @@ let run_naive_rewrite () =
   Common.row "  %-28s %5d vars %5d rows %5d sos1, root LP %6.2fs" "merged OPT (ours)" v c s
     t_merged;
   (* naive: rebuild with OPT KKT-rewritten as well *)
-  let demand_ub = Graph.max_capacity g in
-  let naive = Model.create ~name:"naive" () in
-  let dvars =
-    Array.init (Pathset.num_pairs pathset) (fun _ ->
-        Model.add_var ~ub:demand_ub naive)
+  let naive =
+    Gap_problem.naive_metaopt pathset ~heuristic:(Gap_problem.Dp { threshold })
   in
-  let flows = Flow_rows.make pathset ~only:(fun _ -> true) in
-  let opt_inner =
-    Inner_problem.create ~name:"opt_kkt" ~num_vars:(Flow_rows.num_vars flows)
-      ~objective:(Flow_rows.objective flows)
-      (Flow_rows.demand_rows flows ~demand_vars:dvars
-      @ Flow_rows.capacity_rows flows)
-  in
-  let opt_kkt = Kkt.emit naive opt_inner in
-  let heur =
-    Dp_encoding.encode naive pathset ~demand_vars:dvars ~threshold ~demand_ub ()
-  in
-  Model.set_objective naive Model.Maximize
-    (Linexpr.sub opt_kkt.Kkt.value heur.Dp_encoding.value);
   let _, t_naive = time (fun () -> Solver.solve_lp naive) in
   Common.row "  %-28s %5d vars %5d rows %5d sos1, root LP %6.2fs"
     "naive (OPT also KKT'd)" (Model.num_vars naive) (Model.num_constrs naive)

@@ -27,14 +27,13 @@ let all : (string * (unit -> unit)) list =
     ("engine", Engine_perf.run);
     ("serve", Serve.run);
     ("sweep", Sweep.run);
-    ("follower", Follower.run);
     ("resilience", Resilience.run);
   ]
 
 let default =
   [
     "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "lp"; "ablations"; "micro";
-    "engine"; "serve"; "sweep"; "follower"; "resilience";
+    "engine"; "serve"; "sweep"; "resilience";
   ]
 
 let () =

@@ -271,9 +271,8 @@ let setup_logs verbose =
 
 let family_arg =
   let doc =
-    "Heuristic family from the registry ('repro-metaopt families' lists \
-     them). 'dp' and 'pop' alias the TE path (-H); 'binpack' runs the \
-     vector bin-packing FFD-vs-OPT gap search (--items, --dims)."
+    "Heuristic family: 'dp' and 'pop' alias the TE path (-H); 'binpack' \
+     runs the vector bin-packing FFD-vs-OPT gap search (--items, --dims)."
   in
   Arg.(value & opt (some string) None & info [ "family" ] ~docv:"NAME" ~doc)
 
@@ -333,12 +332,8 @@ let find_gap_cmd =
     | None -> ()
     | Some "dp" | Some "pop" | Some "binpack" -> ()
     | Some other ->
-        Families.ensure_registered ();
-        Fmt.epr "find-gap: unknown family %S (known: %s)@." other
-          (String.concat ", "
-             (List.map
-                (fun f -> f.Follower.Family.name)
-                (Families.all ())));
+        Fmt.epr "find-gap: unknown family %S (known: dp, pop, binpack)@."
+          other;
         exit 1);
     if family = Some "binpack" then begin
       Backend.set_default lp_backend;
@@ -482,33 +477,6 @@ let find_gap_cmd =
     (Cmd.info "find-gap"
        ~doc:"Search for inputs maximizing the heuristic's optimality gap")
     term
-
-(* ------------------------------------------------------------------ *)
-(* families                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let families_cmd =
-  let run () =
-    Families.ensure_registered ();
-    List.iter
-      (fun f ->
-        Fmt.pr "%s - %s@." f.Follower.Family.name f.Follower.Family.doc;
-        let s = f.Follower.Family.stats () in
-        Fmt.pr
-          "  encoding: %d vars, %d rows, %d SOS1 pairs, %d binaries@."
-          s.Follower.Family.vars s.Follower.Family.rows s.Follower.Family.sos1
-          s.Follower.Family.binaries;
-        List.iter
-          (fun (name, doc) -> Fmt.pr "  probe %-14s %s@." name doc)
-          f.Follower.Family.probes)
-      (Families.all ())
-  in
-  Cmd.v
-    (Cmd.info "families"
-       ~doc:
-         "List the registered heuristic families with their probe sets and \
-          reference encoding sizes (vars / rows / SOS1 / binaries)")
-    Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -796,223 +764,6 @@ let sweep_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* find-capacity-gap                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let find_capacity_gap_cmd =
-  let run g paths threshold_frac seed gen file slack =
-    let pathset = Pathset.compute (Demand.full_space g) ~k:paths in
-    let space = Pathset.space pathset in
-    let rng = Rng.create (seed + 1) in
-    let demand =
-      match file with
-      | Some path -> (
-          match Demand.load_csv space path with
-          | Ok d -> d
-          | Error e ->
-              Fmt.epr "cannot load %s: %s@." path e;
-              exit 1)
-      | None -> (
-          match gen with
-          | `Uniform ->
-              Demand.uniform space ~rng ~max:(0.5 *. Graph.max_capacity g)
-          | `Gravity ->
-              Demand.gravity space ~rng ~total:(0.5 *. Graph.total_capacity g)
-          | `Bimodal ->
-              Demand.bimodal space ~rng ~fraction_large:0.2
-                ~small_max:(0.1 *. Graph.max_capacity g)
-                ~large_max:(Graph.max_capacity g))
-    in
-    let ne = Graph.num_edges g in
-    let cap_lower =
-      Array.init ne (fun e -> (1. -. slack) *. Graph.capacity g e)
-    in
-    let cap_upper =
-      Array.init ne (fun e -> (1. +. slack) *. Graph.capacity g e)
-    in
-    let threshold = threshold_frac *. Graph.max_capacity g in
-    let r =
-      Capacity_adversary.find_dp pathset ~demand ~threshold ~cap_lower
-        ~cap_upper ()
-    in
-    Fmt.pr
-      "worst capacity assignment within +-%.0f%% of nominal (demands fixed):@."
-      (100. *. slack);
-    Fmt.pr "max gap found : %.1f (gap/sum-upper-caps %.4f)@."
-      r.Capacity_adversary.gap r.Capacity_adversary.normalized_gap;
-    (match r.Capacity_adversary.upper_bound with
-    | Some ub -> Fmt.pr "proven bound  : %.1f@." ub
-    | None -> ());
-    Fmt.pr "edges moved away from nominal:@.";
-    Array.iteri
-      (fun e c ->
-        let nominal = Graph.capacity g e in
-        if Float.abs (c -. nominal) > 1e-6 then
-          Fmt.pr "  edge %2d (%d->%d): %.1f -> %.1f@." e (Graph.edge_src g e)
-            (Graph.edge_dst g e) nominal c)
-      r.Capacity_adversary.capacities
-  in
-  let slack_arg =
-    let doc = "Allowed relative capacity deviation per link." in
-    Arg.(value & opt float 0.3 & info [ "slack" ] ~docv:"FRACTION" ~doc)
-  in
-  let term =
-    Term.(
-      const run $ topology_arg $ paths_arg $ threshold_frac_arg $ seed_arg
-      $ demand_gen_arg $ demands_file_arg $ slack_arg)
-  in
-  Cmd.v
-    (Cmd.info "find-capacity-gap"
-       ~doc:
-         "Search for topology (capacity) changes maximizing DP's optimality \
-          gap at fixed demands")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* solve-lp                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let solve_lp_cmd =
-  let run file lp_backend verbose roundtrip jobs deadline_s degrade =
-    setup_logs verbose;
-    Backend.set_default lp_backend;
-    if degrade && deadline_s = None then begin
-      Fmt.epr "solve-lp: --degrade requires --deadline@.";
-      exit 1
-    end;
-    let deadline =
-      Option.map
-        (fun wall -> Repro_resilience.Deadline.create ~wall ())
-        deadline_s
-    in
-    match Lp_file.of_file file with
-    | Error e ->
-        Fmt.epr "%s: parse error: %s@." file e;
-        exit 1
-    | Ok model ->
-        Fmt.pr "%s: %a@." file Model.pp_stats model;
-        if roundtrip then begin
-          (* re-emit the parsed model and parse that: the writer and
-             parser must agree on their shared dialect *)
-          match Lp_file.of_string (Lp_file.to_string model) with
-          | Error e ->
-              Fmt.epr "round-trip re-parse failed: %s@." e;
-              exit 1
-          | Ok again ->
-              if
-                Model.num_vars again <> Model.num_vars model
-                || Model.num_constrs again <> Model.num_constrs model
-                || Model.num_sos1 again <> Model.num_sos1 model
-              then begin
-                Fmt.epr "round-trip changed the model shape@.";
-                exit 1
-              end;
-              Fmt.pr "round-trip    : ok@."
-        end;
-        if Model.is_mip model then begin
-          let options =
-            { Branch_bound.default_options with jobs = Repro_engine.Jobs.clamp jobs }
-          in
-          let print_result r =
-            Fmt.pr "outcome       : %a@." Branch_bound.pp_outcome
-              r.Branch_bound.outcome;
-            Fmt.pr "objective     : %.9g@." r.Branch_bound.objective;
-            Fmt.pr "best bound    : %.9g@." r.Branch_bound.best_bound;
-            Fmt.pr "nodes         : %d@." r.Branch_bound.nodes;
-            Fmt.pr "lp engine     : %s backend, %a@."
-              (Backend.kind_to_string lp_backend)
-              Simplex.pp_stats r.Branch_bound.lp_stats;
-            if verbose then
-              Fmt.pr "tree search   : %a@." Branch_bound.pp_tree_stats
-                r.Branch_bound.tree
-          in
-          match deadline with
-          | None -> (
-              (* the pre-resilience path, bit-identical without --deadline *)
-              let r = Solver.solve ~options model in
-              print_result r;
-              match r.Branch_bound.outcome with
-              | Branch_bound.Optimal | Branch_bound.Feasible -> ()
-              | _ -> exit 2)
-          | Some _ -> (
-              let module O = Repro_resilience.Outcome in
-              match Solver.solve_bounded ~options ?deadline model with
-              | O.Complete r ->
-                  print_result r;
-                  Fmt.pr "resilience    : complete@.";
-                  (match r.Branch_bound.outcome with
-                  | Branch_bound.Optimal | Branch_bound.Feasible -> ()
-                  | _ -> exit 2)
-              | O.Feasible_bound { result; incumbent; proven_bound; reason } ->
-                  print_result result;
-                  Fmt.pr
-                    "resilience    : feasible-bound (%s): incumbent %.9g, \
-                     proven bound %.9g@."
-                    (O.reason_to_string reason) incumbent proven_bound;
-                  if not degrade then begin
-                    Fmt.epr
-                      "solve-lp: deadline exceeded; pass --degrade to accept \
-                       the bound above@.";
-                    exit 4
-                  end
-              | O.Degraded { result; reason } ->
-                  Option.iter print_result result;
-                  Fmt.pr "resilience    : degraded (%s): no incumbent@."
-                    (O.reason_to_string reason);
-                  exit (if degrade then 2 else 4)
-              | O.Failed err ->
-                  Fmt.epr "solve-lp: %s@." (O.error_to_string err);
-                  exit 1)
-        end
-        else begin
-          let r = Solver.solve_lp ?deadline model in
-          Fmt.pr "status        : %a@." Simplex.pp_status r.Solver.status;
-          Fmt.pr "objective     : %.9g@." r.Solver.objective;
-          Fmt.pr "lp engine     : %s backend, %a@."
-            (Backend.kind_to_string lp_backend)
-            Simplex.pp_stats r.Solver.stats;
-          if verbose then
-            Array.iteri
-              (fun v x ->
-                if Float.abs x > 1e-9 then
-                  Fmt.pr "  %s = %.9g@." (Model.var_name model v) x)
-              r.Solver.primal;
-          match
-            (r.Solver.status,
-             Option.bind deadline Repro_resilience.Deadline.tripped)
-          with
-          | Simplex.Optimal, _ -> ()
-          | Simplex.Iteration_limit, Some trip ->
-              Fmt.pr "resilience    : degraded (deadline: %s): objective is \
-                      a bound in progress@."
-                (Repro_resilience.Deadline.trip_to_string trip);
-              if not degrade then begin
-                Fmt.epr
-                  "solve-lp: deadline exceeded; pass --degrade to accept@.";
-                exit 4
-              end
-          | _ -> exit 2
-        end
-  in
-  let file_arg =
-    let doc = "LP-format file to solve (the dialect Lp_file writes)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let roundtrip_arg =
-    let doc = "Also re-emit and re-parse the model as a self-check." in
-    Arg.(value & flag & info [ "roundtrip" ] ~doc)
-  in
-  let term =
-    Term.(
-      const run $ file_arg $ lp_backend_arg $ verbose_arg $ roundtrip_arg
-      $ jobs_arg $ deadline_arg $ degrade_arg)
-  in
-  Cmd.v
-    (Cmd.info "solve-lp"
-       ~doc:"Parse an LP-format file and solve it with the built-in engine")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* serve / client                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1243,5 +994,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ topology_cmd; evaluate_cmd; find_gap_cmd; families_cmd; sweep_cmd;
-            find_capacity_gap_cmd; solve_lp_cmd; serve_cmd; client_cmd ]))
+          [ topology_cmd; evaluate_cmd; find_gap_cmd; sweep_cmd; serve_cmd;
+            client_cmd ]))

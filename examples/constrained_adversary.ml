@@ -61,5 +61,7 @@ let () =
     unconstrained.Adversary.normalized_gap loose.Adversary.normalized_gap
     realistic.Adversary.normalized_gap tight.Adversary.normalized_gap;
   Fmt.pr
-    "if the tight setting's gap is acceptable, the heuristic is safe for@.\
-     inputs near history - and the framework gave a certificate for it.@."
+    "these are probe-only searches (no MILP), so each gap is a witnessed@.\
+     lower bound on the worst case, not a certificate: rerun with@.\
+     run_milp = true for a proven bound before calling the heuristic safe@.\
+     for inputs near history.@."

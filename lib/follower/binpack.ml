@@ -667,26 +667,3 @@ let find_gap ?(options = default_options) cfg =
     milp_nodes = !milp_nodes;
     elapsed = Unix.gettimeofday () -. t0;
   }
-
-let family =
-  let probes_doc =
-    [
-      ("ffd_thirds", "classic 0.4/0.3 FFD worst-case pattern");
-      ("ffd_weyl", "quasirandom golden-ratio fill in [0.26, 0.62] x capacity");
-      ("ffd_halves", "alternating 0.52/0.27 x capacity items");
-      ("rand_a/b/c", "seeded uniform draws in [0.2, 0.62] x capacity");
-      ("dim_skew", "complementary per-dimension skew (dims >= 2)");
-      ("refine", "coordinate descent over a coarse size grid");
-    ]
-  in
-  {
-    Family.name = "binpack";
-    doc =
-      "vector bin packing: first-fit-decreasing vs optimal packing \
-       (gap in bins)";
-    probes = probes_doc;
-    stats =
-      (fun () ->
-        let enc = encode (config ()) in
-        Family.stats_of_model enc.model);
-  }

@@ -111,5 +111,3 @@ type result = {
 }
 
 val find_gap : ?options:options -> config -> result
-
-val family : Family.t

@@ -12,46 +12,29 @@ type t = {
   ir_name : string;
   mutable cols : int;
   mutable col_ubs : (int * float) list;  (* only finite ubs, reversed *)
-  mutable col_groups : (string * int list) list;  (* reversed members *)
   mutable obj : (int * float) list;
-  mutable row_list : (string * row) list;  (* (block, row), reversed *)
+  mutable row_list : row list;  (* reversed *)
 }
 
 let create ~name () =
-  { ir_name = name; cols = 0; col_ubs = []; col_groups = []; obj = []; row_list = [] }
+  { ir_name = name; cols = 0; col_ubs = []; obj = []; row_list = [] }
 
 let name t = t.ir_name
 let num_cols t = t.cols
 
-let add_cols ?(group = "cols") ?(ub = infinity) t n =
+let add_cols ?(ub = infinity) t n =
   if n < 0 then invalid_arg "Ir.add_cols: negative count";
   if ub < 0. then invalid_arg "Ir.add_cols: ub < 0";
   let first = t.cols in
   t.cols <- t.cols + n;
-  let ids = List.init n (fun i -> first + i) in
   if ub < infinity then
-    t.col_ubs <- List.rev_append (List.map (fun j -> (j, ub)) ids) t.col_ubs;
-  (match List.assoc_opt group t.col_groups with
-  | Some _ ->
-      t.col_groups <-
-        List.map
-          (fun (g, m) ->
-            if g = group then (g, List.rev_append ids m) else (g, m))
-          t.col_groups
-  | None -> t.col_groups <- t.col_groups @ [ (group, List.rev ids) ]);
+    t.col_ubs <-
+      List.rev_append (List.init n (fun i -> (first + i, ub))) t.col_ubs;
   first
 
 let col_ub t j =
   if j < 0 || j >= t.cols then invalid_arg "Ir.col_ub: bad column";
   match List.assoc_opt j t.col_ubs with Some u -> u | None -> infinity
-
-let col_group t j =
-  if j < 0 || j >= t.cols then invalid_arg "Ir.col_group: bad column";
-  match
-    List.find_opt (fun (_, members) -> List.mem j members) t.col_groups
-  with
-  | Some (g, _) -> g
-  | None -> "cols"
 
 let check_terms t ~what terms =
   List.iter
@@ -67,55 +50,18 @@ let set_objective t obj =
 
 let objective t = t.obj
 
-(* "pin_spread_3" -> "pin_spread"; "pop0_cap_1_2" -> "pop0_cap" *)
-let infer_block row_name =
-  let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
-  let parts = String.split_on_char '_' row_name in
-  let rec strip = function
-    | [ last ] when is_digits last -> []
-    | [ last ] -> [ last ]
-    | p :: rest -> (
-        match strip rest with
-        | [] when is_digits p -> []
-        | stripped -> p :: stripped)
-    | [] -> []
-  in
-  match strip parts with
-  | [] -> row_name
-  | kept -> String.concat "_" kept
-
-let add_row ?block t row =
+let add_row t row =
   check_terms t ~what:("row " ^ row.row_name) row.inner_terms;
-  let block =
-    match block with Some b -> b | None -> infer_block row.row_name
-  in
-  t.row_list <- (block, row) :: t.row_list
+  t.row_list <- row :: t.row_list
 
-let add_rows ?block t rows = List.iter (add_row ?block t) rows
+let add_rows t rows = List.iter (add_row t) rows
 let num_rows t = List.length t.row_list
-let rows t = Array.of_list (List.rev_map snd t.row_list)
+let rows t = Array.of_list (List.rev t.row_list)
 
 let num_le_rows t =
   List.fold_left
-    (fun acc (_, r) -> if r.sense = Le then acc + 1 else acc)
+    (fun acc r -> if r.sense = Le then acc + 1 else acc)
     0 t.row_list
-
-let groups t = List.map (fun (g, m) -> (g, List.rev m)) t.col_groups
-
-let blocks t =
-  let ordered = List.rev t.row_list in
-  let names = ref [] in
-  List.iteri
-    (fun i (b, _) ->
-      match List.assoc_opt b !names with
-      | Some _ ->
-          names :=
-            List.map
-              (fun (b', m) -> if b' = b then (b', i :: m) else (b', m))
-              !names
-      | None -> names := !names @ [ (b, [ i ]) ])
-    ordered;
-  List.map (fun (b, m) -> (b, List.rev m)) !names
 
 let value t x =
   List.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) 0. t.obj
@@ -126,7 +72,7 @@ let solve_directly t ~outer_values =
     Array.init t.cols (fun j -> Model.add_var ~name:"x" ~ub:(col_ub t j) model)
   in
   List.iter
-    (fun (_, r) ->
+    (fun r ->
       let expr =
         Linexpr.of_terms (List.map (fun (j, c) -> (xs.(j), c)) r.inner_terms)
       in

@@ -5,11 +5,7 @@
     non-negative columns subject to linear [<=] / [=] rows whose
     right-hand sides may reference {e outer} (host MILP) variables.
     {!Kkt_rewrite} turns a value of this type into the KKT/complementarity
-    MILP block of paper §3.1 without any hand derivation.
-
-    Columns and rows carry {e group} / {e block} tags so that probes,
-    explanations and the [families] CLI can talk about "the capacity
-    rows" or "the per-pair flows" instead of raw indices. *)
+    MILP block of paper §3.1 without any hand derivation. *)
 
 type sense = Le | Eq
 
@@ -30,34 +26,25 @@ val name : t -> string
 (** [add_cols t n] appends [n] columns and returns the index of the first.
     Columns are non-negative; [ub] (default [infinity]) adds an upper
     bound, which the rewriter turns into an extra bound-dual /
-    complementarity pair. [group] tags the columns (default ["cols"]). *)
-val add_cols : ?group:string -> ?ub:float -> t -> int -> int
+    complementarity pair. *)
+val add_cols : ?ub:float -> t -> int -> int
 
 val num_cols : t -> int
 val col_ub : t -> int -> float
-val col_group : t -> int -> string
 
 (** Objective coefficients, maximized. Duplicate columns are summed. *)
 val set_objective : t -> (int * float) list -> unit
 
 val objective : t -> (int * float) list
 
-(** [add_row t row] appends a row. [block] tags it; when omitted the block
-    is inferred from [row_name] by stripping trailing [_<digits>] segments
-    (so [pin_spread_3] and [pin_spread_7] share block [pin_spread]).
+(** [add_row t row] appends a row.
     @raise Invalid_argument on out-of-range column indices. *)
-val add_row : ?block:string -> t -> row -> unit
+val add_row : t -> row -> unit
 
-val add_rows : ?block:string -> t -> row list -> unit
+val add_rows : t -> row list -> unit
 val num_rows : t -> int
 val rows : t -> row array
 val num_le_rows : t -> int
-
-(** Column groups in first-use order, each with its column indices. *)
-val groups : t -> (string * int list) list
-
-(** Row blocks in first-use order, each with its row indices. *)
-val blocks : t -> (string * int list) list
 
 (** Follower objective value of a column assignment. *)
 val value : t -> float array -> float

@@ -19,8 +19,9 @@
 
     With no finite column upper bounds and [Sos1] complementarity the
     emitted rows, columns, SOS1 groups and names are {e identical} to the
-    hand-derived [Repro_metaopt.Kkt.emit] — which is exactly what the
-    differential suite checks. *)
+    hand derivation of §3.1 that the test suite keeps as a reference
+    emitter ([test/kkt_reference.ml]) — which is exactly what the
+    differential tests check. *)
 
 type comp =
   | Sos1

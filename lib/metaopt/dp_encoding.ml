@@ -1,16 +1,14 @@
 module F = Repro_follower
 
 type t = {
-  inner : Inner_problem.t;
-  kkt : Kkt.emitted;
   indicators : (int * Model.var) list;
   flows : Flow_rows.t;
   value : Linexpr.t;
   tracked : F.Bigm.tracked list;
 }
 
-let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?engine
-    ?big_m () =
+let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?big_m
+    () =
   if demand_ub <= 0. then invalid_arg "Dp_encoding.encode: demand_ub <= 0";
   if threshold < 0. then invalid_arg "Dp_encoding.encode: threshold < 0";
   let epsilon =
@@ -71,10 +69,10 @@ let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?engine
       if non_shortest <> [] then begin
         pin_rows :=
           {
-            Inner_problem.row_name = Printf.sprintf "pin_spread_%d" k;
+            F.Ir.row_name = Printf.sprintf "pin_spread_%d" k;
             inner_terms = non_shortest;
             outer_terms = [ (z, -.big_m) ];
-            sense = Inner_problem.Le;
+            sense = F.Ir.Le;
             rhs = 0.;
           }
           :: !pin_rows;
@@ -84,10 +82,10 @@ let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?engine
       end;
       pin_rows :=
         {
-          Inner_problem.row_name = Printf.sprintf "pin_full_%d" k;
+          F.Ir.row_name = Printf.sprintf "pin_full_%d" k;
           inner_terms = [ (Flow_rows.var flows ~pair:k ~path:0, -1.) ];
           outer_terms = [ (demand_vars.(k), 1.); (z, -.big_m) ];
-          sense = Inner_problem.Le;
+          sense = F.Ir.Le;
           rhs = 0.;
         }
         :: !pin_rows;
@@ -105,11 +103,7 @@ let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?engine
     @ Flow_rows.capacity_rows flows
     @ List.rev !pin_rows
   in
-  let inner =
-    Inner_problem.create ~name:"dp" ~num_vars:(Flow_rows.num_vars flows)
-      ~objective:(Flow_rows.objective flows) rows
-  in
-  let kkt = Follower_bridge.emit ?engine model inner in
+  let kkt = F.Kkt_rewrite.emit model (Flow_rows.follower flows ~name:"dp" rows) in
   let tracked =
     List.rev_map
       (fun (name, inner_terms, outer_terms, z, m) ->
@@ -120,9 +114,14 @@ let encode model pathset ~demand_vars ~threshold ~demand_ub ?epsilon ?engine
           active_when = `One;
           activity =
             Linexpr.of_terms
-              (List.map (fun (j, c) -> (kkt.Kkt.x.(j), c)) inner_terms
+              (List.map (fun (j, c) -> (kkt.F.Kkt_rewrite.x.(j), c)) inner_terms
               @ outer_terms);
         })
       !pin_specs
   in
-  { inner; kkt; indicators = !indicators; flows; value = kkt.Kkt.value; tracked }
+  {
+    indicators = !indicators;
+    flows;
+    value = kkt.F.Kkt_rewrite.value;
+    tracked;
+  }

@@ -12,15 +12,13 @@
     With [z_k = 0] these force all flow of pair k onto its shortest path
     and pin it to exactly [d_k] (combined with [f_k <= d_k]); with
     [z_k = 1] both rows are slack. The inner LP (given z) stays linear in
-    [(f; d, z)], so {!Kkt.emit} applies.
+    [(f; d, z)], so {!Repro_follower.Kkt_rewrite.emit} applies.
 
     A tie tolerance [epsilon] excludes the open sliver [(T_d, T_d + eps)]
     from the unpinned branch so that [d_k = T_d] means pinned, matching
     the simulation semantics ("at or below the threshold", Fig 1). *)
 
 type t = {
-  inner : Inner_problem.t;
-  kkt : Kkt.emitted;
   indicators : (int * Model.var) list;  (** routable pair -> z binary *)
   flows : Flow_rows.t;
   value : Linexpr.t;  (** the heuristic's optimal total flow *)
@@ -35,7 +33,6 @@ val encode :
   threshold:float ->
   demand_ub:float ->
   ?epsilon:float ->
-  ?engine:Follower_bridge.engine ->
   ?big_m:float ->
   unit ->
   t
@@ -44,5 +41,4 @@ val encode :
     pair from presolve intervals ({!Repro_follower.Bigm.derive_ub}) and
     recorded in [tracked] for post-solve auditing; [big_m] overrides the
     derivation (regression tests use a deliberately small value to prove
-    the audit catches it). [epsilon] defaults to [1e-6 * demand_ub].
-    [engine] selects the KKT emitter (default {!Follower_bridge.Ir}). *)
+    the audit catches it). [epsilon] defaults to [1e-6 * demand_ub]. *)

@@ -1,3 +1,5 @@
+module Ir = Repro_follower.Ir
+
 type t = {
   pathset : Pathset.t;
   offsets : int array; (* -1 for excluded pairs *)
@@ -49,10 +51,10 @@ let demand_rows t ~demand_vars =
         let inner_terms = List.init np (fun p -> (off + p, 1.)) in
         rows :=
           {
-            Inner_problem.row_name = Printf.sprintf "dem_%d" k;
+            Ir.row_name = Printf.sprintf "dem_%d" k;
             inner_terms;
             outer_terms = [ (demand_vars.(k), -1.) ];
-            sense = Inner_problem.Le;
+            sense = Ir.Le;
             rhs = 0.;
           }
           :: !rows
@@ -73,12 +75,19 @@ let capacity_rows ?(scale = 1.) t =
     if inner_terms <> [] then
       rows :=
         {
-          Inner_problem.row_name = Printf.sprintf "cap_%d" e;
+          Ir.row_name = Printf.sprintf "cap_%d" e;
           inner_terms;
           outer_terms = [];
-          sense = Inner_problem.Le;
+          sense = Ir.Le;
           rhs = scale *. Graph.capacity g e;
         }
         :: !rows
   done;
   List.rev !rows
+
+let follower t ~name rows =
+  let ir = Ir.create ~name () in
+  ignore (Ir.add_cols ir t.num_vars);
+  Ir.set_objective ir (objective t);
+  Ir.add_rows ir rows;
+  ir

@@ -1,7 +1,7 @@
 (** Shared builder for the inner-problem rows of flow-based followers:
     indexes the per-(pair, path) flow variables of a follower LP and
-    produces the FeasibleFlow rows (demand and capacity constraints) in
-    {!Inner_problem.row} form, with demands as outer host variables. *)
+    produces the FeasibleFlow rows (demand and capacity constraints) as
+    {!Repro_follower.Ir.row}s, with demands as outer host variables. *)
 
 type t
 
@@ -21,8 +21,12 @@ val objective : t -> (int * float) list
 (** Max total flow: coefficient 1 on every flow variable. *)
 
 val demand_rows :
-  t -> demand_vars:Model.var array -> Inner_problem.row list
+  t -> demand_vars:Model.var array -> Repro_follower.Ir.row list
 (** Per included pair: [sum_p f_k^p - d_k <= 0]. *)
 
-val capacity_rows : ?scale:float -> t -> Inner_problem.row list
+val capacity_rows : ?scale:float -> t -> Repro_follower.Ir.row list
 (** Per edge with included users: [sum f <= scale * capacity]. *)
+
+val follower : t -> name:string -> Repro_follower.Ir.row list -> Repro_follower.Ir.t
+(** The max-total-flow follower over this indexing with the given rows,
+    ready for {!Repro_follower.Kkt_rewrite.emit}. *)

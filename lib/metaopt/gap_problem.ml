@@ -19,7 +19,7 @@ type t = {
 let default_demand_ub pathset = Graph.max_capacity (Pathset.graph pathset)
 
 let build pathset ~heuristic ?(constraints = Input_constraints.none) ?demand_ub
-    ?quantize ?engine () =
+    ?quantize () =
   let demand_ub =
     match demand_ub with
     | Some u -> u
@@ -66,15 +66,15 @@ let build pathset ~heuristic ?(constraints = Input_constraints.none) ?demand_ub
     | Dp { threshold } ->
         let enc =
           Dp_encoding.encode model pathset ~demand_vars ~threshold ~demand_ub
-            ?engine ()
+            ()
         in
         (enc.Dp_encoding.value, enc.Dp_encoding.tracked)
     | Pop { parts; partitions; reduce } ->
         let enc =
           Pop_encoding.encode model pathset ~demand_vars ~parts ~partitions
-            ~reduce ?engine ()
+            ~reduce ()
         in
-        (enc.Pop_encoding.value, enc.Pop_encoding.tracked)
+        (enc.Pop_encoding.value, [])
   in
   Model.set_objective model Model.Maximize
     (Linexpr.sub opt_value heuristic_value);
@@ -101,6 +101,37 @@ let size t =
 let audit ?tol t primal = Repro_follower.Bigm.audit ?tol primal t.tracked
 
 let size_of_model m = (Model.num_vars m, Model.num_constrs m, Model.num_sos1 m)
+
+(* Metaopt with OPT also KKT-rewritten instead of merged with the outer
+   maximization: the naive ablation of Fig 6. *)
+let naive_metaopt pathset ~heuristic =
+  let space = Pathset.space pathset in
+  let naive_model = Model.create ~name:"naive_metaopt" () in
+  let demand_ub = default_demand_ub pathset in
+  let naive_demands =
+    Array.init (Demand.size space) (fun _ -> Model.add_var ~ub:demand_ub naive_model)
+  in
+  let flows = Flow_rows.make pathset ~only:(fun _ -> true) in
+  let opt_kkt =
+    Repro_follower.Kkt_rewrite.emit naive_model
+      (Flow_rows.follower flows ~name:"opt_kkt"
+         (Flow_rows.demand_rows flows ~demand_vars:naive_demands
+         @ Flow_rows.capacity_rows flows))
+  in
+  let heur_value =
+    match heuristic with
+    | Dp { threshold } ->
+        (Dp_encoding.encode naive_model pathset ~demand_vars:naive_demands
+           ~threshold ~demand_ub ())
+          .Dp_encoding.value
+    | Pop { parts; partitions; reduce } ->
+        (Pop_encoding.encode naive_model pathset ~demand_vars:naive_demands
+           ~parts ~partitions ~reduce ())
+          .Pop_encoding.value
+  in
+  Model.set_objective naive_model Model.Maximize
+    (Linexpr.sub opt_kkt.Repro_follower.Kkt_rewrite.value heur_value);
+  naive_model
 
 (* The plain formulations an operator would solve directly, for Fig 6's
    size comparison; demands enter as constants so we use a placeholder
@@ -154,35 +185,8 @@ let baseline_sizes pathset ~heuristic =
             Mcf.total_flow_expr vars)
       in
       Model.set_objective heur_model Model.Maximize (Linexpr.sum exprs));
-  (* naive ablation: metaopt with OPT also KKT-rewritten *)
-  let naive_model = Model.create ~name:"naive_metaopt" () in
-  let demand_ub = default_demand_ub pathset in
-  let naive_demands =
-    Array.init (Demand.size space) (fun _ -> Model.add_var ~ub:demand_ub naive_model)
-  in
-  let flows = Flow_rows.make pathset ~only:(fun _ -> true) in
-  let opt_inner =
-    Inner_problem.create ~name:"opt_kkt" ~num_vars:(Flow_rows.num_vars flows)
-      ~objective:(Flow_rows.objective flows)
-      (Flow_rows.demand_rows flows ~demand_vars:naive_demands
-      @ Flow_rows.capacity_rows flows)
-  in
-  let opt_kkt = Kkt.emit naive_model opt_inner in
-  let heur_value =
-    match heuristic with
-    | Dp { threshold } ->
-        (Dp_encoding.encode naive_model pathset ~demand_vars:naive_demands
-           ~threshold ~demand_ub ())
-          .Dp_encoding.value
-    | Pop { parts; partitions; reduce } ->
-        (Pop_encoding.encode naive_model pathset ~demand_vars:naive_demands
-           ~parts ~partitions ~reduce ())
-          .Pop_encoding.value
-  in
-  Model.set_objective naive_model Model.Maximize
-    (Linexpr.sub opt_kkt.Kkt.value heur_value);
   [
     ("opt", size_of_model opt_model);
     ("heuristic", size_of_model heur_model);
-    ("naive-metaopt", size_of_model naive_model);
+    ("naive-metaopt", size_of_model (naive_metaopt pathset ~heuristic));
   ]

@@ -39,7 +39,6 @@ val build :
   ?constraints:Input_constraints.t ->
   ?demand_ub:float ->
   ?quantize:float ->
-  ?engine:Follower_bridge.engine ->
   unit ->
   t
 (** [demand_ub] bounds every demand variable (default: the topology's
@@ -63,8 +62,12 @@ val audit : ?tol:float -> t -> float array -> Repro_follower.Bigm.tracked list
     ({!Repro_follower.Bigm.audit}); a non-empty result means some big-M
     constant was too small and may have cut the true optimum. *)
 
+val naive_metaopt : Pathset.t -> heuristic:heuristic -> Model.t
+(** The naive ablation of Fig 6: the same gap problem with OPT also
+    KKT-rewritten instead of merged with the outer maximization. *)
+
 val baseline_sizes :
   Pathset.t -> heuristic:heuristic -> (string * (int * int * int)) list
 (** Sizes of the plain (non-metaopt) formulations for the same instance —
-    the "OPT" and "Heuristic" bars of Fig 6 — plus a naive ablation where
-    OPT is also KKT-rewritten instead of merged with the outer problem. *)
+    the "OPT" and "Heuristic" bars of Fig 6 — plus the sizes of
+    {!naive_metaopt}. *)

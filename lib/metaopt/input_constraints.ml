@@ -163,13 +163,15 @@ let project t d =
         (goalpost_pairs gp))
     t.goalposts;
   (* violated non-homogeneous <=-rows (hose caps, absolute sum bounds):
-     uniform down-scaling restores them without leaving the box *)
+     uniform down-scaling restores them without leaving the box. Rows
+     with an average term or a zero bound are scale-invariant, so scaling
+     would only push the input to zero; [satisfied] rejects those. *)
   let n = Array.length d in
   let avg = if n = 0 then 0. else Array.fold_left ( +. ) 0. d /. float_of_int n in
   let scale = ref 1. in
   List.iter
     (fun ic ->
-      if ic.sense = Model.Le && ic.bound >= 0. then begin
+      if ic.sense = Model.Le && ic.avg_coef = 0. && ic.bound > 0. then begin
         let lhs =
           List.fold_left (fun acc (k, c) -> acc +. (c *. d.(k))) 0. ic.terms
           +. (ic.avg_coef *. avg)

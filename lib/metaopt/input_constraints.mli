@@ -69,5 +69,8 @@ val apply : Model.t -> demand_vars:Model.var array -> t -> unit
 val satisfied : ?tol:float -> t -> float array -> bool
 
 val project : t -> float array -> float array
-(** Clamp into box bounds and goalpost intervals (intra constraints are
-    not projected — callers reject with [satisfied] instead). *)
+(** Clamp into box bounds and goalpost intervals, then scale the whole
+    input down uniformly until every violated [<=] intra row with no
+    average term and a positive bound (hose caps, absolute sum bounds)
+    holds. Other intra constraints are not projected — callers reject
+    with [satisfied] instead. *)

@@ -1,10 +1,9 @@
 module F = Repro_follower
 
 type t = {
-  followers : Kkt.emitted list;
+  followers : F.Kkt_rewrite.emitted list;
   instance_totals : Model.var list;
   value : Linexpr.t;
-  tracked : F.Bigm.tracked list;
 }
 
 (* One follower: the block-diagonal union of a single instance's
@@ -12,7 +11,7 @@ type t = {
    (edge, part) pair gets its own scaled capacity row over that part's
    pairs only, and each pair's demand row binds to the shared outer demand
    variable. *)
-let instance_follower ?engine model pathset ~demand_vars ~parts ~partition
+let instance_follower model pathset ~demand_vars ~parts ~partition
     ~index =
   let flows = Flow_rows.make pathset ~only:(fun _ -> true) in
   let g = Pathset.graph pathset in
@@ -31,30 +30,25 @@ let instance_follower ?engine model pathset ~demand_vars ~parts ~partition
       if inner_terms <> [] then
         cap_rows :=
           {
-            Inner_problem.row_name = Printf.sprintf "pop%d_cap_%d_%d" index c e;
+            F.Ir.row_name = Printf.sprintf "pop%d_cap_%d_%d" index c e;
             inner_terms;
             outer_terms = [];
-            sense = Inner_problem.Le;
+            sense = F.Ir.Le;
             rhs = scale *. Graph.capacity g e;
           }
           :: !cap_rows
     done
   done;
   let rows = Flow_rows.demand_rows flows ~demand_vars @ !cap_rows in
-  let inner =
-    Inner_problem.create
-      ~name:(Printf.sprintf "pop%d" index)
-      ~num_vars:(Flow_rows.num_vars flows)
-      ~objective:(Flow_rows.objective flows) rows
-  in
-  Follower_bridge.emit ?engine model inner
+  F.Kkt_rewrite.emit model
+    (Flow_rows.follower flows ~name:(Printf.sprintf "pop%d" index) rows)
 
 (* Bind one host variable to each follower's optimum and reduce them to
    the deterministic descriptor the adversary optimizes (§3.2). *)
 let reduce_followers model followers ~cap_total ~reduce =
   let instance_totals =
     List.mapi
-      (fun index (follower : Kkt.emitted) ->
+      (fun index (follower : F.Kkt_rewrite.emitted) ->
         let h =
           Model.add_var
             ~name:(Printf.sprintf "pop_total_%d" index)
@@ -64,7 +58,7 @@ let reduce_followers model followers ~cap_total ~reduce =
           (Model.add_constr
              ~name:(Printf.sprintf "pop_total_def_%d" index)
              model
-             (Linexpr.sub (Linexpr.var h) follower.Kkt.value)
+             (Linexpr.sub (Linexpr.var h) follower.F.Kkt_rewrite.value)
              Model.Eq 0.);
         h)
       followers
@@ -85,7 +79,7 @@ let reduce_followers model followers ~cap_total ~reduce =
   in
   (instance_totals, value)
 
-let encode model pathset ~demand_vars ~parts ~partitions ~reduce ?engine () =
+let encode model pathset ~demand_vars ~parts ~partitions ~reduce () =
   if partitions = [] then invalid_arg "Pop_encoding.encode: no partitions";
   if parts <= 0 then invalid_arg "Pop_encoding.encode: parts <= 0";
   List.iter
@@ -96,7 +90,7 @@ let encode model pathset ~demand_vars ~parts ~partitions ~reduce ?engine () =
   let followers =
     List.mapi
       (fun index partition ->
-        instance_follower ?engine model pathset ~demand_vars ~parts ~partition
+        instance_follower model pathset ~demand_vars ~parts ~partition
           ~index)
       partitions
   in
@@ -104,214 +98,4 @@ let encode model pathset ~demand_vars ~parts ~partitions ~reduce ?engine () =
   let instance_totals, value =
     reduce_followers model followers ~cap_total ~reduce
   in
-  { followers; instance_totals; value; tracked = [] }
-
-(* ------------------------------------------------------------------ *)
-(* Appendix A: client splitting                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Virtual-client slots: pair k owns 2^(S+1)-1 slots; split level s (the
-   number of halvings Appendix A performs) activates its 2^s slots, each
-   carrying d_k / 2^s. Host binaries w_{k,s} select the level from the
-   demand value; inner big-M rows gate each slot's flow on its level. *)
-let split_follower ?engine model pathset ~demand_vars ~parts ~assignment
-    ~level_vars ~max_splits ~demand_ub ~index =
-  let g = Pathset.graph pathset in
-  let n_pairs = Pathset.num_pairs pathset in
-  (* inner variable indexing: flows per (pair, slot, path) *)
-  let offsets = Array.make n_pairs (-1) in
-  let next = ref 0 in
-  let slots = Pop.num_slots ~max_splits in
-  for k = 0 to n_pairs - 1 do
-    if Pathset.routable pathset k then begin
-      offsets.(k) <- !next;
-      next := !next + (slots * Array.length (Pathset.paths_of_pair pathset k))
-    end
-  done;
-  let fvar k ~level ~copy ~path =
-    let np = Array.length (Pathset.paths_of_pair pathset k) in
-    let slot_idx = (1 lsl level) - 1 + copy in
-    offsets.(k) + (slot_idx * np) + path
-  in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  (* per-pair activity big-M for the slot-gating rows, derived from the
-     host demand variable's presolve interval (hand-picked fallback:
-     [demand_ub]) *)
-  let var_interval = lazy (F.Bigm.host_intervals model) in
-  let m_act = Array.make n_pairs demand_ub in
-  let act_specs = ref [] in
-  for k = 0 to n_pairs - 1 do
-    if offsets.(k) >= 0 then begin
-      m_act.(k) <-
-        (F.Bigm.derive_ub
-           ~context:(Printf.sprintf "pop%d_act_%d" index k)
-           ~var_interval:(Lazy.force var_interval)
-           ~fallback:demand_ub
-           [ (demand_vars.(k), 1.) ])
-          .F.Bigm.m;
-      let np = Array.length (Pathset.paths_of_pair pathset k) in
-      for level = 0 to max_splits do
-        let copies = 1 lsl level in
-        for copy = 0 to copies - 1 do
-          let flows = List.init np (fun p -> (fvar k ~level ~copy ~path:p, 1.)) in
-          (* volume: sum_p f <= d_k / 2^level *)
-          add
-            {
-              Inner_problem.row_name =
-                Printf.sprintf "pop%d_vol_%d_%d_%d" index k level copy;
-              inner_terms = flows;
-              outer_terms =
-                [ (demand_vars.(k), -1. /. float_of_int copies) ];
-              sense = Inner_problem.Le;
-              rhs = 0.;
-            };
-          (* activity: sum_p f <= M_k * w_{k,level} *)
-          add
-            {
-              Inner_problem.row_name =
-                Printf.sprintf "pop%d_act_%d_%d_%d" index k level copy;
-              inner_terms = flows;
-              outer_terms = [ (level_vars.(k).(level), -.m_act.(k)) ];
-              sense = Inner_problem.Le;
-              rhs = 0.;
-            };
-          act_specs :=
-            ( Printf.sprintf "pop%d_act_%d_%d_%d" index k level copy,
-              flows,
-              level_vars.(k).(level),
-              m_act.(k) )
-            :: !act_specs
-        done
-      done
-    end
-  done;
-  (* capacity rows per (edge, part) over the slots assigned to the part *)
-  let scale = 1. /. float_of_int parts in
-  for c = 0 to parts - 1 do
-    for e = 0 to Graph.num_edges g - 1 do
-      let terms = ref [] in
-      List.iter
-        (fun (k, p) ->
-          if offsets.(k) >= 0 then
-            for level = 0 to max_splits do
-              for copy = 0 to (1 lsl level) - 1 do
-                if
-                  assignment.(Pop.slot ~max_splits ~pair:k ~level ~copy) = c
-                then terms := (fvar k ~level ~copy ~path:p, 1.) :: !terms
-              done
-            done)
-        (Pathset.pairs_using_edge pathset e);
-      if !terms <> [] then
-        add
-          {
-            Inner_problem.row_name = Printf.sprintf "pop%d_cap_%d_%d" index c e;
-            inner_terms = !terms;
-            outer_terms = [];
-            sense = Inner_problem.Le;
-            rhs = scale *. Graph.capacity g e;
-          }
-    done
-  done;
-  let inner =
-    Inner_problem.create
-      ~name:(Printf.sprintf "pop_split%d" index)
-      ~num_vars:!next
-      ~objective:(List.init !next (fun v -> (v, 1.)))
-      (List.rev !rows)
-  in
-  let kkt = Follower_bridge.emit ?engine model inner in
-  let tracked =
-    List.rev_map
-      (fun (name, flows, w, m) ->
-        {
-          F.Bigm.context = name;
-          m;
-          indicator = w;
-          active_when = `One;
-          activity =
-            Linexpr.of_terms
-              (List.map (fun (j, c) -> (kkt.Kkt.x.(j), c)) flows);
-        })
-      !act_specs
-  in
-  (kkt, tracked)
-
-let encode_with_client_split model pathset ~demand_vars ~parts ~threshold
-    ~max_splits ~assignments ~demand_ub ~reduce ?epsilon ?engine () =
-  if assignments = [] then invalid_arg "Pop_encoding: no assignments";
-  if threshold <= 0. then invalid_arg "Pop_encoding: threshold <= 0";
-  if max_splits < 0 then invalid_arg "Pop_encoding: max_splits < 0";
-  let epsilon =
-    match epsilon with
-    | Some e -> e
-    | None -> 1e-6 *. demand_ub
-  in
-  let n_pairs = Pathset.num_pairs pathset in
-  List.iter
-    (fun a ->
-      if Array.length a <> n_pairs * Pop.num_slots ~max_splits then
-        invalid_arg "Pop_encoding: slot assignment size mismatch")
-    assignments;
-  (* host level-selector binaries shared by all instances: w_{k,s} = 1 iff
-     2^(s-1) th <= d_k < 2^s th (level 0: d < th; level S: unbounded) *)
-  let level_vars =
-    Array.init n_pairs (fun k ->
-        Array.init (max_splits + 1) (fun s ->
-            Model.add_var
-              ~name:(Printf.sprintf "pop_lvl_%d_%d" k s)
-              ~kind:Model.Binary model))
-  in
-  for k = 0 to n_pairs - 1 do
-    ignore
-      (Model.add_constr
-         ~name:(Printf.sprintf "pop_lvl_one_%d" k)
-         model
-         (Linexpr.of_terms
-            (Array.to_list (Array.map (fun w -> (w, 1.)) level_vars.(k))))
-         Model.Eq 1.);
-    for s = 0 to max_splits do
-      let lo = if s = 0 then 0. else (2. ** float_of_int (s - 1)) *. threshold in
-      let hi =
-        if s = max_splits then demand_ub
-        else
-          Float.min demand_ub ((2. ** float_of_int s) *. threshold -. epsilon)
-      in
-      if lo > demand_ub then
-        (* level unreachable within the demand bound *)
-        Model.set_var_bounds model level_vars.(k).(s) ~lb:0. ~ub:0.
-      else begin
-        (* w = 1 forces d_k >= lo *)
-        if lo > 0. then
-          ignore
-            (Model.add_constr model
-               (Linexpr.of_terms
-                  [ (demand_vars.(k), 1.); (level_vars.(k).(s), -.lo) ])
-               Model.Ge 0.);
-        (* w = 1 forces d_k <= hi *)
-        if hi < demand_ub then
-          ignore
-            (Model.add_constr model
-               (Linexpr.of_terms
-                  [
-                    (demand_vars.(k), 1.);
-                    (level_vars.(k).(s), demand_ub -. hi);
-                  ])
-               Model.Le demand_ub)
-      end
-    done
-  done;
-  let emitted =
-    List.mapi
-      (fun index assignment ->
-        split_follower ?engine model pathset ~demand_vars ~parts ~assignment
-          ~level_vars ~max_splits ~demand_ub ~index)
-      assignments
-  in
-  let followers = List.map fst emitted in
-  let tracked = List.concat_map snd emitted in
-  let cap_total = Graph.total_capacity (Pathset.graph pathset) in
-  let instance_totals, value =
-    reduce_followers model followers ~cap_total ~reduce
-  in
-  { followers; instance_totals; value; tracked }
+  { followers; instance_totals; value }

@@ -11,20 +11,14 @@
       (the paper finds 5 instances suffice, Fig 5a);
     - [`Kth_smallest k] — a tail percentile: the instance totals are run
       through a sorting network ({!Sorting_network}) and the k-th smallest
-      becomes the heuristic value, "bubbling up the worst outcomes".
-
-    Client splitting (Appendix A) is supported by pre-splitting: virtual
-    clients with halved volumes share their original pair's demand
-    variable with fixed fractions, preserving joint linearity. *)
+      becomes the heuristic value, "bubbling up the worst outcomes". *)
 
 type t = {
-  followers : Kkt.emitted list;  (** one per partition instance *)
+  followers : Repro_follower.Kkt_rewrite.emitted list;
+      (** one per partition instance *)
   instance_totals : Model.var list;
       (** host variable equal to each instance's heuristic total *)
   value : Linexpr.t;  (** the reduced (average / percentile) value *)
-  tracked : Repro_follower.Bigm.tracked list;
-      (** audit handles for the client-split slot gates (empty for the
-          plain encoder, which has no big-M rows) *)
 }
 
 val encode :
@@ -34,35 +28,6 @@ val encode :
   parts:int ->
   partitions:Pop.partition list ->
   reduce:[ `Average | `Kth_smallest of int ] ->
-  ?engine:Follower_bridge.engine ->
   unit ->
   t
-(** [engine] selects the KKT emitter (default {!Follower_bridge.Ir}).
-    @raise Invalid_argument on empty [partitions] or size mismatches. *)
-
-(** Appendix A, in full: POP with client splitting as a convex follower.
-    Every pair pre-builds virtual-client flow variables for all split
-    levels ([Pop.num_slots] per pair); one host binary per (pair, level)
-    selects the active level from the demand value (the appendix's
-    [max(M(d - th), 0)] conditions, with the epsilon tie handling it
-    describes), and inner big-M rows gate each slot's flow on its level.
-    Each [assignment] is a fixed partition of the slots
-    ({!Pop.random_slot_assignment}); ground truth for a concrete demand
-    matrix is {!Pop.solve_fixed_split}. The slot-gating rows' big-M
-    constants are derived per pair from presolve intervals
-    ({!Repro_follower.Bigm.derive_ub}, hand-picked fallback [demand_ub])
-    and recorded in [tracked] for post-solve auditing. *)
-val encode_with_client_split :
-  Model.t ->
-  Pathset.t ->
-  demand_vars:Model.var array ->
-  parts:int ->
-  threshold:float ->
-  max_splits:int ->
-  assignments:Pop.partition list ->
-  demand_ub:float ->
-  reduce:[ `Average | `Kth_smallest of int ] ->
-  ?epsilon:float ->
-  ?engine:Follower_bridge.engine ->
-  unit ->
-  t
+(** @raise Invalid_argument on empty [partitions] or size mismatches. *)

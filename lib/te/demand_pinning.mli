@@ -27,8 +27,7 @@ val pins : threshold:float -> float -> bool
 
 val solve :
   ?capacities:float array -> Pathset.t -> threshold:float -> Demand.t -> result
-(** [capacities] overrides the graph's per-edge capacities (used by the
-    topology-change adversary, {!Repro_metaopt.Capacity_adversary}). *)
+(** [capacities] overrides the graph's per-edge capacities. *)
 
 val total_or_zero : result -> float
 (** Heuristic value; 0 for infeasible pinnings (so searches avoid the

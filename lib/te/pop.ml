@@ -91,45 +91,3 @@ let solve_with_client_split ?pool pathset ~parts ~rng ~threshold ~max_splits
     d
   in
   solve_per_part ?pool pathset ~parts ~demand_of_part
-
-let split_level ~threshold ~max_splits d =
-  if threshold <= 0. then invalid_arg "Pop.split_level: threshold <= 0";
-  let splits = ref 0 and v = ref d in
-  while !splits < max_splits && !v >= threshold do
-    incr splits;
-    v := !v /. 2.
-  done;
-  !splits
-
-let num_slots ~max_splits = (1 lsl (max_splits + 1)) - 1
-
-let slot ~max_splits ~pair ~level ~copy =
-  if level < 0 || level > max_splits then invalid_arg "Pop.slot: bad level";
-  if copy < 0 || copy >= 1 lsl level then invalid_arg "Pop.slot: bad copy";
-  (pair * num_slots ~max_splits) + (1 lsl level) - 1 + copy
-
-let random_slot_assignment ~rng ~num_pairs ~max_splits ~parts =
-  random_partition ~rng ~num_pairs:(num_pairs * num_slots ~max_splits) ~parts
-
-let solve_fixed_split ?pool pathset ~parts ~threshold ~max_splits ~assignment
-    demand =
-  if Array.length assignment
-     <> Pathset.num_pairs pathset * num_slots ~max_splits
-  then invalid_arg "Pop.solve_fixed_split: assignment size mismatch";
-  let demand_of_part c =
-    Array.mapi
-      (fun k d ->
-        if d <= 0. then 0.
-        else begin
-          let level = split_level ~threshold ~max_splits d in
-          let volume = d /. float_of_int (1 lsl level) in
-          let acc = ref 0. in
-          for copy = 0 to (1 lsl level) - 1 do
-            if assignment.(slot ~max_splits ~pair:k ~level ~copy) = c then
-              acc := !acc +. volume
-          done;
-          !acc
-        end)
-      demand
-  in
-  solve_per_part ?pool pathset ~parts ~demand_of_part

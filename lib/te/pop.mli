@@ -60,41 +60,3 @@ val solve_with_client_split :
 (** Client-split the demands, partition the virtual clients uniformly at
     random, then run POP; virtual flows are folded back onto their
     original pairs in the reported allocation. *)
-
-(** {1 Fixed virtual-client layout (Appendix A)}
-
-    The appendix encodes client splitting inside the metaoptimization by
-    building {e all possible} splits ahead of time: pair [k] owns
-    [2^(max_splits+1) - 1] virtual-client slots (one at each split level),
-    of which only one level is active for a given demand value. A fixed
-    partition assignment over the slots makes the heuristic a
-    deterministic function of the demands — what the white-box encoding
-    ({!Repro_metaopt.Pop_encoding}) requires. *)
-
-val split_level : threshold:float -> max_splits:int -> float -> int
-(** Number of halvings Appendix A performs on a demand of this volume:
-    keep splitting while the (halved) volume is at least the threshold,
-    up to [max_splits]. *)
-
-val num_slots : max_splits:int -> int
-(** Virtual-client slots per pair: [2^(max_splits+1) - 1]. *)
-
-val slot : max_splits:int -> pair:int -> level:int -> copy:int -> int
-(** Canonical slot id of copy [copy] (< [2^level]) at [level] of [pair]. *)
-
-val random_slot_assignment :
-  rng:Rng.t -> num_pairs:int -> max_splits:int -> parts:int -> partition
-(** Balanced uniform assignment over all slots of all pairs. *)
-
-val solve_fixed_split :
-  ?pool:Repro_engine.Pool.t ->
-  Pathset.t ->
-  parts:int ->
-  threshold:float ->
-  max_splits:int ->
-  assignment:partition ->
-  Demand.t ->
-  result
-(** POP with Appendix-A client splitting under a {e fixed} slot
-    assignment: each demand activates the slots of its split level, each
-    active slot contributes [d_k / 2^level] to its assigned partition. *)

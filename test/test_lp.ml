@@ -663,137 +663,6 @@ let presolve_equivalence_property =
                (o1, o2)))
 
 (* ------------------------------------------------------------------ *)
-(* LP file writer                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_lp_file_sections () =
-  let m = Model.create () in
-  let x = Model.add_var ~name:"flow" ~ub:4. m in
-  let y = Model.add_var ~name:"pick" ~kind:Model.Binary m in
-  let z = Model.add_var ~name:"count" ~kind:Model.Integer ~ub:9. m in
-  let _ = Model.add_constr ~name:"cap" m Linexpr.(add (var x) (var ~coef:2. y)) Model.Le 7. in
-  Model.add_sos1 m [ x; z ];
-  Model.set_objective m Model.Maximize Linexpr.(sum [ var x; var y; var z ]);
-  let s = Lp_file.to_string m in
-  let has sub =
-    let n = String.length sub and l = String.length s in
-    let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in
-    Alcotest.(check bool) ("has " ^ sub) true (go 0)
-  in
-  has "Maximize";
-  has "Subject To";
-  has "cap#0:";
-  has "<= 7";
-  has "Bounds";
-  has "Generals";
-  has "Binaries";
-  has "SOS";
-  has "S1 ::";
-  has "End"
-
-let test_lp_file_roundtrip_values () =
-  (* writer must quote exact bounds, including infinities and fixations *)
-  let m = Model.create () in
-  let _free = Model.add_var ~name:"free" ~lb:neg_infinity m in
-  let _fixed = Model.add_var ~name:"fx" ~lb:2.5 ~ub:2.5 m in
-  Model.set_objective m Model.Minimize Linexpr.zero;
-  let s = Lp_file.to_string m in
-  let has sub =
-    let n = String.length sub and l = String.length s in
-    let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in
-    Alcotest.(check bool) ("has " ^ sub) true (go 0)
-  in
-  has "-inf";
-  has "= 2.5"
-
-let test_lp_file_parse_roundtrip () =
-  (* write -> parse -> the models must be structurally identical and
-     solve to the same optimum *)
-  let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~lb:0. ~ub:4. m in
-  let y = Model.add_var ~name:"y" ~kind:Model.Integer ~lb:(-2.) ~ub:10. m in
-  let z = Model.add_var ~name:"z" ~kind:Model.Binary m in
-  let f = Model.add_var ~name:"f" ~lb:neg_infinity ~ub:infinity m in
-  ignore
-    (Model.add_constr ~name:"c1" m
-       (Linexpr.of_terms [ (x, 1.); (y, 2.); (f, -0.5) ])
-       Model.Le 10.);
-  ignore
-    (Model.add_constr ~name:"c2" m
-       (Linexpr.of_terms [ (y, 1.); (z, 3.) ])
-       Model.Ge 1.);
-  ignore
-    (Model.add_constr ~name:"c3" m
-       (Linexpr.of_terms [ (x, 1.); (f, 1.) ])
-       Model.Eq 2.);
-  Model.add_sos1 ~name:"s" m [ x; y ];
-  Model.set_objective m Model.Maximize
-    (Linexpr.of_terms ~constant:7.5 [ (x, 3.); (y, -1.25); (z, 2.) ]);
-  match Lp_file.of_string (Lp_file.to_string m) with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok m2 ->
-      Alcotest.(check int) "vars" (Model.num_vars m) (Model.num_vars m2);
-      Alcotest.(check int) "constrs" (Model.num_constrs m)
-        (Model.num_constrs m2);
-      Alcotest.(check int) "sos1" (Model.num_sos1 m) (Model.num_sos1 m2);
-      Alcotest.(check bool) "still a mip" true (Model.is_mip m2);
-      check_float "lb preserved" (-2.) (Model.var_lb m2 1);
-      check_float "ub preserved" 10. (Model.var_ub m2 1);
-      Alcotest.(check bool) "free var preserved" true
-        (Model.var_lb m2 3 = neg_infinity && Model.var_ub m2 3 = infinity);
-      let r1 = Solver.solve m in
-      let r2 = Solver.solve m2 in
-      check_float "same optimum" r1.Branch_bound.objective
-        r2.Branch_bound.objective;
-      (* second generation must be a textual fixed point: sanitized names
-         survive re-sanitization unchanged *)
-      let t2 = Lp_file.to_string m2 in
-      (match Lp_file.of_string t2 with
-      | Error e -> Alcotest.failf "re-parse failed: %s" e
-      | Ok m3 ->
-          Alcotest.(check string) "textual fixed point" t2
-            (Lp_file.to_string m3))
-
-let test_lp_file_parse_plain_dialect () =
-  (* hand-written LP text: implicit coefficients, bare constants,
-     missing Bounds entries default to [0, +inf) *)
-  let text =
-    "\\ a comment line\n\
-     Minimize\n\
-     obj: x + 2 y - z\n\
-     Subject To\n\
-     c1: x + y >= 2\n\
-     c2: - x + z <= 1\n\
-     Bounds\n\
-     z <= 5\n\
-     End\n"
-  in
-  match Lp_file.of_string text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok m ->
-      Alcotest.(check int) "vars" 3 (Model.num_vars m);
-      Alcotest.(check int) "constrs" 2 (Model.num_constrs m);
-      check_float "default lb" 0. (Model.var_lb m 0);
-      Alcotest.(check bool) "default ub" true (Model.var_ub m 0 = infinity);
-      check_float "z ub" 5. (Model.var_ub m 2);
-      let r = Solver.solve_lp m in
-      Alcotest.(check bool) "optimal" true (r.Solver.status = Simplex.Optimal);
-      (* min x + 2y - z: x+y >= 2 -> x=2 (cheaper), z <= min(5, 1+x) = 3 *)
-      check_float "objective" (2. -. 3.) r.Solver.objective
-
-let test_lp_file_parse_errors () =
-  let bad s =
-    match Lp_file.of_string s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "expected parse error on %S" s
-  in
-  bad "Subject To\n c1: x <= 1\nEnd\n";
-  (* no objective *)
-  bad "Minimize\n obj: x\nSubject To\n c1: x\nEnd\n";
-  (* missing relation *)
-  bad "stray line before any section\n"
-
-(* ------------------------------------------------------------------ *)
 (* Property-based tests                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1309,14 +1178,6 @@ let () =
           Alcotest.test_case "forcing row" `Quick test_presolve_forcing_row;
           Alcotest.test_case "sos propagation" `Quick test_presolve_sos_propagation;
           Alcotest.test_case "integer rounding" `Quick test_presolve_integer_rounding;
-        ] );
-      ( "lp_file",
-        [
-          Alcotest.test_case "sections" `Quick test_lp_file_sections;
-          Alcotest.test_case "bounds rendering" `Quick test_lp_file_roundtrip_values;
-          Alcotest.test_case "parse roundtrip" `Quick test_lp_file_parse_roundtrip;
-          Alcotest.test_case "parse plain dialect" `Quick test_lp_file_parse_plain_dialect;
-          Alcotest.test_case "parse errors" `Quick test_lp_file_parse_errors;
         ] );
       qsuite "properties"
         [

@@ -10,109 +10,114 @@ open Repro_metaopt
 let check_float = Alcotest.(check (float 1e-5))
 
 (* ------------------------------------------------------------------ *)
-(* Inner_problem + Kkt                                                 *)
+(* KKT rewrite: Kkt_rewrite and the hand-derived reference            *)
 (* ------------------------------------------------------------------ *)
+
+module Ir = Repro_follower.Ir
+
+(* Both emitters, each reduced to (host copies of x, follower value):
+   every KKT case below runs against the reference and the rewriter. *)
+let emitters =
+  [
+    ( "reference",
+      fun model ir ->
+        let e = Kkt_reference.emit model ir in
+        (e.Kkt_reference.x, e.Kkt_reference.value) );
+    ( "rewrite",
+      fun model ir ->
+        let e = Repro_follower.Kkt_rewrite.emit model ir in
+        (e.Repro_follower.Kkt_rewrite.x, e.Repro_follower.Kkt_rewrite.value) );
+  ]
+
+let for_each_emitter f = List.iter (fun (name, emit) -> f name emit) emitters
+
+let follower ~name ~num_vars ~objective rows =
+  let ir = Ir.create ~name () in
+  ignore (Ir.add_cols ir num_vars);
+  Ir.set_objective ir objective;
+  Ir.add_rows ir rows;
+  ir
+
+let le_row ?(outer_terms = []) row_name inner_terms rhs =
+  { Ir.row_name; inner_terms; outer_terms; sense = Ir.Le; rhs }
 
 (* max x s.t. x <= P, with outer variable P fixed by bounds: any
    KKT-feasible point must put x = P (the LP analog of Fig 2's worked
    example: the follower's response is pinned by the rewrite alone). *)
 let test_kkt_pins_follower_optimum () =
-  let model = Model.create () in
-  let p = Model.add_var ~name:"P" ~lb:7. ~ub:7. model in
-  let inner =
-    Inner_problem.create ~name:"toy" ~num_vars:1 ~objective:[ (0, 1.) ]
-      [
-        {
-          Inner_problem.row_name = "cap";
-          inner_terms = [ (0, 1.) ];
-          outer_terms = [ (p, -1.) ];
-          sense = Inner_problem.Le;
-          rhs = 0.;
-        };
-      ]
-  in
-  let emitted = Kkt.emit model inner in
-  (* pure feasibility: no objective preference on x *)
-  Model.set_objective model Model.Maximize Linexpr.zero;
-  let r = Solver.solve model in
-  Alcotest.(check bool) "solved" true (r.Branch_bound.outcome = Branch_bound.Optimal);
-  let x = (Option.get r.Branch_bound.primal).(emitted.Kkt.x.(0)) in
-  check_float "follower forced to optimum" 7. x
+  for_each_emitter (fun name emit ->
+      let model = Model.create () in
+      let p = Model.add_var ~name:"P" ~lb:7. ~ub:7. model in
+      let x, _ =
+        emit model
+          (follower ~name:"toy" ~num_vars:1 ~objective:[ (0, 1.) ]
+             [ le_row "cap" [ (0, 1.) ] ~outer_terms:[ (p, -1.) ] 0. ])
+      in
+      (* pure feasibility: no objective preference on x *)
+      Model.set_objective model Model.Maximize Linexpr.zero;
+      let r = Solver.solve model in
+      Alcotest.(check bool) (name ^ " solved") true
+        (r.Branch_bound.outcome = Branch_bound.Optimal);
+      check_float
+        (name ^ " follower forced to optimum")
+        7.
+        (Option.get r.Branch_bound.primal).(x.(0)))
 
 (* Even when the host objective pulls the follower's copy DOWN, KKT keeps
    it at the follower's optimum - this is exactly why the heuristic term
    of eq. (1) needs the rewrite. *)
 let test_kkt_resists_adversarial_host_objective () =
-  let model = Model.create () in
-  let p = Model.add_var ~name:"P" ~lb:5. ~ub:5. model in
-  let inner =
-    Inner_problem.create ~name:"toy" ~num_vars:1 ~objective:[ (0, 1.) ]
-      [
-        {
-          Inner_problem.row_name = "cap";
-          inner_terms = [ (0, 1.) ];
-          outer_terms = [ (p, -1.) ];
-          sense = Inner_problem.Le;
-          rhs = 0.;
-        };
-      ]
-  in
-  let emitted = Kkt.emit model inner in
-  Model.set_objective model Model.Minimize emitted.Kkt.value;
-  let r = Solver.solve model in
-  check_float "minimizing the follower value cannot dent it" 5.
-    r.Branch_bound.objective
+  for_each_emitter (fun name emit ->
+      let model = Model.create () in
+      let p = Model.add_var ~name:"P" ~lb:5. ~ub:5. model in
+      let _, value =
+        emit model
+          (follower ~name:"toy" ~num_vars:1 ~objective:[ (0, 1.) ]
+             [ le_row "cap" [ (0, 1.) ] ~outer_terms:[ (p, -1.) ] 0. ])
+      in
+      Model.set_objective model Model.Minimize value;
+      let r = Solver.solve model in
+      check_float
+        (name ^ " minimizing the follower value cannot dent it")
+        5. r.Branch_bound.objective)
 
 let test_kkt_equality_rows () =
   (* max x1 + x2 s.t. x1 + x2 = 4, x1 <= 3: optimum 4 *)
-  let model = Model.create () in
-  let inner =
-    Inner_problem.create ~name:"eq" ~num_vars:2 ~objective:[ (0, 1.); (1, 1.) ]
-      [
-        {
-          Inner_problem.row_name = "sum";
-          inner_terms = [ (0, 1.); (1, 1.) ];
-          outer_terms = [];
-          sense = Inner_problem.Eq;
-          rhs = 4.;
-        };
-        {
-          Inner_problem.row_name = "x1cap";
-          inner_terms = [ (0, 1.) ];
-          outer_terms = [];
-          sense = Inner_problem.Le;
-          rhs = 3.;
-        };
-      ]
-  in
-  let emitted = Kkt.emit model inner in
-  Model.set_objective model Model.Minimize emitted.Kkt.value;
-  let r = Solver.solve model in
-  check_float "equality follower" 4. r.Branch_bound.objective
+  for_each_emitter (fun name emit ->
+      let model = Model.create () in
+      let _, value =
+        emit model
+          (follower ~name:"eq" ~num_vars:2 ~objective:[ (0, 1.); (1, 1.) ]
+             [
+               {
+                 Ir.row_name = "sum";
+                 inner_terms = [ (0, 1.); (1, 1.) ];
+                 outer_terms = [];
+                 sense = Ir.Eq;
+                 rhs = 4.;
+               };
+               le_row "x1cap" [ (0, 1.) ] 3.;
+             ])
+      in
+      Model.set_objective model Model.Minimize value;
+      let r = Solver.solve model in
+      check_float (name ^ " equality follower") 4. r.Branch_bound.objective)
 
 let test_kkt_infeasible_follower_infeasible_host () =
   (* x <= -1 with x >= 0 is an infeasible follower: KKT must be too *)
-  let model = Model.create () in
-  let inner =
-    Inner_problem.create ~name:"inf" ~num_vars:1 ~objective:[ (0, 1.) ]
-      [
-        {
-          Inner_problem.row_name = "neg";
-          inner_terms = [ (0, 1.) ];
-          outer_terms = [];
-          sense = Inner_problem.Le;
-          rhs = -1.;
-        };
-      ]
-  in
-  let _ = Kkt.emit model inner in
-  Model.set_objective model Model.Maximize Linexpr.zero;
-  let r = Solver.solve model in
-  Alcotest.(check bool) "infeasible" true
-    (r.Branch_bound.outcome = Branch_bound.Infeasible)
+  for_each_emitter (fun name emit ->
+      let model = Model.create () in
+      ignore
+        (emit model
+           (follower ~name:"inf" ~num_vars:1 ~objective:[ (0, 1.) ]
+              [ le_row "neg" [ (0, 1.) ] (-1.) ]));
+      Model.set_objective model Model.Maximize Linexpr.zero;
+      let r = Solver.solve model in
+      Alcotest.(check bool) (name ^ " infeasible") true
+        (r.Branch_bound.outcome = Branch_bound.Infeasible))
 
-(* Property: for random follower LPs (with a random fixed outer shift),
-   the KKT system's value equals the directly-solved follower optimum. *)
+(* Property: for random follower LPs, the KKT system's value equals the
+   directly-solved follower optimum, for both emitters. *)
 let kkt_matches_direct_property =
   let gen =
     QCheck.Gen.(
@@ -126,53 +131,39 @@ let kkt_matches_direct_property =
   QCheck.Test.make ~count:60 ~name:"KKT value = direct follower optimum"
     (QCheck.make gen) (fun (n, m, a, b, c) ->
       (* nonneg A and c > 0 with b >= 1: feasible (x=0) and bounded *)
-      let model = Model.create () in
       let rows =
         List.init m (fun i ->
-            {
-              Inner_problem.row_name = Printf.sprintf "r%d" i;
-              inner_terms =
-                List.filter_map
-                  (fun j ->
-                    let v = a.((i * n) + j) in
-                    if v = 0. then None else Some (j, v))
-                  (List.init n (fun j -> j));
-              outer_terms = [];
-              sense = Inner_problem.Le;
-              rhs = b.(i);
-            })
+            le_row (Printf.sprintf "r%d" i)
+              (List.filter_map
+                 (fun j ->
+                   let v = a.((i * n) + j) in
+                   if v = 0. then None else Some (j, v))
+                 (List.init n (fun j -> j)))
+              b.(i))
       in
       (* keep it bounded: budget row over all vars *)
-      let budget =
-        {
-          Inner_problem.row_name = "budget";
-          inner_terms = List.init n (fun j -> (j, 1.));
-          outer_terms = [];
-          sense = Inner_problem.Le;
-          rhs = 50.;
-        }
-      in
-      let inner =
-        Inner_problem.create ~name:"prop" ~num_vars:n
+      let budget = le_row "budget" (List.init n (fun j -> (j, 1.))) 50. in
+      let ir =
+        follower ~name:"prop" ~num_vars:n
           ~objective:(List.init n (fun j -> (j, c.(j))))
           (budget :: rows)
       in
-      let emitted = Kkt.emit model inner in
-      Model.set_objective model Model.Maximize Linexpr.zero;
-      let r = Solver.solve model in
-      if r.Branch_bound.outcome <> Branch_bound.Optimal then
-        QCheck.Test.fail_reportf "KKT system not solved";
-      let x =
-        Array.map
-          (fun v -> (Option.get r.Branch_bound.primal).(v))
-          emitted.Kkt.x
-      in
-      let kkt_value = Inner_problem.value inner x in
-      let direct = Inner_problem.solve_directly inner ~outer_values:(fun _ -> 0.) in
-      if Float.abs (kkt_value -. direct.Solver.objective) > 1e-4 then
-        QCheck.Test.fail_reportf "kkt %g <> direct %g" kkt_value
-          direct.Solver.objective
-      else true)
+      let direct = Ir.solve_directly ir ~outer_values:(fun _ -> 0.) in
+      List.for_all
+        (fun (name, emit) ->
+          let model = Model.create () in
+          let xs, _ = emit model ir in
+          Model.set_objective model Model.Maximize Linexpr.zero;
+          let r = Solver.solve model in
+          if r.Branch_bound.outcome <> Branch_bound.Optimal then
+            QCheck.Test.fail_reportf "%s: KKT system not solved" name;
+          let x = Array.map (fun v -> (Option.get r.Branch_bound.primal).(v)) xs in
+          let kkt_value = Ir.value ir x in
+          if Float.abs (kkt_value -. direct.Solver.objective) > 1e-4 then
+            QCheck.Test.fail_reportf "%s: kkt %g <> direct %g" name kkt_value
+              direct.Solver.objective
+          else true)
+        emitters)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluate                                                            *)
@@ -427,6 +418,65 @@ let test_constraints_project_clamps_box () =
     (Input_constraints.project c [| -3.; 99.; 1.5 |]);
   Alcotest.(check bool) "below lower rejected" false
     (Input_constraints.satisfied c [| 4.; 0.; 1. |])
+
+(* a row with an average term is scale-invariant: scaling cannot repair
+   it, so [project] must leave the input alone for [satisfied] to
+   reject, not collapse it to zero *)
+let test_constraints_project_leaves_average_rows () =
+  let c = Input_constraints.within_factor_of_average ~num_pairs:3 ~factor:1.5 in
+  let spike = [| 90.; 0.; 0. |] in
+  Alcotest.(check (array (float 0.))) "spike unchanged" spike
+    (Input_constraints.project c spike);
+  Alcotest.(check bool) "still rejected" false
+    (Input_constraints.satisfied c (Input_constraints.project c spike))
+
+(* a violated hose cap is restored by one uniform down-scaling, which
+   keeps the demands' ratios *)
+let test_constraints_project_scales_hose_caps () =
+  let space = Demand.full_space (Topologies.fig1 ()) in
+  let c =
+    Input_constraints.hose ~space ~egress:[| 100.; 500.; 500. |]
+      ~ingress:[| 500.; 500.; 500. |]
+  in
+  let d = Demand.zero space in
+  let i01 = Option.get (Demand.index space ~src:0 ~dst:1) in
+  let i02 = Option.get (Demand.index space ~src:0 ~dst:2) in
+  let i12 = Option.get (Demand.index space ~src:1 ~dst:2) in
+  d.(i01) <- 150.;
+  d.(i02) <- 50.;
+  d.(i12) <- 40.;
+  Alcotest.(check bool) "egress 200 > 100 violated" false
+    (Input_constraints.satisfied c d);
+  let p = Input_constraints.project c d in
+  Alcotest.(check bool) "projection satisfies" true
+    (Input_constraints.satisfied c p);
+  Alcotest.(check (float 1e-9)) "d01 halved" 75. p.(i01);
+  Alcotest.(check (float 1e-9)) "d02 halved" 25. p.(i02);
+  Alcotest.(check (float 1e-9)) "every pair scales alike" 20. p.(i12)
+
+(* a [<=] row with a zero bound ([d0 <= d1]) is scale-invariant as well:
+   it is left to [satisfied], while a positive-bound row in the same set
+   still scales *)
+let test_constraints_project_skips_zero_bound () =
+  let row terms bound =
+    { Input_constraints.terms; avg_coef = 0.; sense = Model.Le; bound }
+  in
+  let ordered =
+    { Input_constraints.none with intra = [ row [ (0, 1.); (1, -1.) ] 0. ] }
+  in
+  let d = [| 30.; 10. |] in
+  Alcotest.(check (array (float 0.))) "zero-bound row not projected" d
+    (Input_constraints.project ordered d);
+  Alcotest.(check bool) "and rejected" false
+    (Input_constraints.satisfied ordered d);
+  let with_sum =
+    {
+      ordered with
+      intra = row [ (0, 1.); (1, 1.) ] 20. :: ordered.Input_constraints.intra;
+    }
+  in
+  Alcotest.(check (array (float 1e-9))) "sum cap scales to 20" [| 15.; 5. |]
+    (Input_constraints.project with_sum d)
 
 (* ------------------------------------------------------------------ *)
 (* Gap problem encodings vs oracle                                     *)
@@ -981,6 +1031,38 @@ let test_probes_score_projects () =
   Alcotest.(check bool) "intra violation rejected" true
     (Probes.score ev ~constraints:floor0 (Array.make n 0.) = None)
 
+(* a spike on one pair breaks "within 1.5x of the average"; scaling the
+   whole input down cannot repair a row that scales with the input, so
+   the spike is rejected instead of scored as the all-zero matrix *)
+let test_probes_score_rejects_average_spike () =
+  let pathset = fig1_pathset () in
+  let ev = Evaluate.make_dp pathset ~threshold:50. in
+  let n = Pathset.num_pairs pathset in
+  let spread =
+    Input_constraints.within_factor_of_average ~num_pairs:n ~factor:1.5
+  in
+  let spike = Array.init n (fun k -> if k = 0 then 100. else 0.) in
+  Alcotest.(check bool) "spike rejected" true
+    (Probes.score ev ~constraints:spread spike = None);
+  (* an absolute sum cap is still repaired by scaling down *)
+  let cap =
+    {
+      Input_constraints.none with
+      intra =
+        [
+          {
+            Input_constraints.terms = List.init n (fun k -> (k, 1.));
+            avg_coef = 0.;
+            sense = Model.Le;
+            bound = 50.;
+          };
+        ];
+    }
+  in
+  match Probes.score ev ~constraints:cap spike with
+  | None -> Alcotest.fail "a sum cap should be projected, not rejected"
+  | Some (d, _) -> check_float "scaled onto the cap" 50. d.(0)
+
 let test_probes_best_candidate_skips_infeasible () =
   let g = Graph.create ~num_nodes:3 () in
   let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:10. () in
@@ -1081,119 +1163,6 @@ let test_quantized_adversary () =
   let verified = Option.get (Evaluate.gap ev r.Adversary.demands) in
   check_float "verified" r.Adversary.gap verified
 
-(* ------------------------------------------------------------------ *)
-(* Extensions: POP client splitting, white-box (Appendix A)            *)
-(* ------------------------------------------------------------------ *)
-
-let test_client_split_encoding_matches_oracle () =
-  let g = Topologies.line ~n:3 ~capacity:100. () in
-  let pathset = Pathset.compute (Demand.full_space g) ~k:2 in
-  let n_pairs = Pathset.num_pairs pathset in
-  let parts = 2 and max_splits = 2 and threshold = 40. in
-  let rng = Rng.create 21 in
-  let assignment =
-    Pop.random_slot_assignment ~rng ~num_pairs:n_pairs ~max_splits ~parts
-  in
-  (* demand levels covering: below threshold, [th, 2th), >= 2th, and the
-     d = threshold tie (appendix: a demand at the threshold splits) *)
-  let cases = [ [| 30.; 90.; 10.; 55. |]; [| 40.; 80.; 95.; 0. |] ] in
-  List.iter
-    (fun base ->
-      let demand =
-        Array.init n_pairs (fun k -> base.(k mod Array.length base))
-      in
-      let oracle =
-        (Pop.solve_fixed_split pathset ~parts ~threshold ~max_splits
-           ~assignment demand)
-          .Pop.total
-      in
-      let model = Model.create () in
-      let dvars =
-        Array.init n_pairs (fun k ->
-            Model.add_var ~lb:demand.(k) ~ub:demand.(k) model)
-      in
-      let enc =
-        Pop_encoding.encode_with_client_split model pathset ~demand_vars:dvars
-          ~parts ~threshold ~max_splits ~assignments:[ assignment ]
-          ~demand_ub:100. ~reduce:`Average ()
-      in
-      (* with demands fixed, the level binaries are forced and EVERY point
-         of the KKT system carries the follower's optimal value - so a
-         pure feasibility solve is a complete check of the encoding *)
-      Model.set_objective model Model.Maximize Linexpr.zero;
-      let r =
-        Branch_bound.solve
-          ~options:
-            {
-              Branch_bound.default_options with
-              time_limit = 60.;
-              stall_time = 60.;
-            }
-          model
-      in
-      Alcotest.(check bool) "solved" true
-        (r.Branch_bound.outcome = Branch_bound.Optimal);
-      let x = Option.get r.Branch_bound.primal in
-      let value = Linexpr.eval enc.Pop_encoding.value (fun v -> x.(v)) in
-      Alcotest.(check (float 1e-3)) "split POP value matches" oracle value)
-    cases
-
-(* ------------------------------------------------------------------ *)
-(* Extensions: capacity (topology-change) adversary (section 5)        *)
-(* ------------------------------------------------------------------ *)
-
-let test_capacity_adversary_fig1 () =
-  let pathset = fig1_pathset () in
-  let demand = fig1_demand pathset ~d01:130. ~d12:180. ~d02:50. in
-  let g = Pathset.graph pathset in
-  let ne = Graph.num_edges g in
-  (* capacity intervals around the fig1 values; the worst case is the
-     original assignment (gap 100 - see the arithmetic in the module) *)
-  let cap_lower = Array.make ne 60. and cap_upper = Array.make ne 200. in
-  let e02 = Option.get (Graph.find_edge g 0 2) in
-  cap_lower.(e02) <- 10.;
-  cap_upper.(e02) <- 50.;
-  let r =
-    Capacity_adversary.find_dp pathset ~demand ~threshold:50. ~cap_lower
-      ~cap_upper ()
-  in
-  Alcotest.(check (float 1.)) "worst capacity gap" 100. r.Capacity_adversary.gap;
-  (* oracle-verified *)
-  let verified =
-    Option.get
-      (Capacity_adversary.evaluate_dp pathset ~demand ~threshold:50.
-         ~capacities:r.Capacity_adversary.capacities)
-  in
-  check_float "witnessed" r.Capacity_adversary.gap verified;
-  (match r.Capacity_adversary.upper_bound with
-  | Some ub ->
-      Alcotest.(check bool) "bound dominates" true
-        (ub >= r.Capacity_adversary.gap -. 1e-6)
-  | None -> Alcotest.fail "expected a bound");
-  (* capacities stay in their intervals *)
-  Array.iteri
-    (fun e c ->
-      Alcotest.(check bool) "within interval" true
-        (c >= cap_lower.(e) -. 1e-9 && c <= cap_upper.(e) +. 1e-9))
-    r.Capacity_adversary.capacities
-
-let test_capacity_adversary_respects_pinning_feasibility () =
-  (* two pairs pinned onto a shared link: capacities below the pinned
-     load must never be selected *)
-  let g = Graph.create ~num_nodes:3 () in
-  let _ = Graph.add_edge g ~src:0 ~dst:1 ~capacity:100. () in
-  let _ = Graph.add_edge g ~src:1 ~dst:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 1); (0, 2) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let demand = [| 8.; 8. |] in
-  let r =
-    Capacity_adversary.find_dp pathset ~demand ~threshold:10.
-      ~cap_lower:[| 5.; 5. |] ~cap_upper:[| 100.; 100. |] ()
-  in
-  (* edge 0 carries both pinned demands: 16 *)
-  Alcotest.(check bool) "pinning stays feasible" true
-    (r.Capacity_adversary.capacities.(0) >= 16. -. 1e-6)
-
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "metaopt"
@@ -1228,6 +1197,12 @@ let () =
           Alcotest.test_case "none" `Quick test_constraints_none;
           Alcotest.test_case "project clamps box" `Quick
             test_constraints_project_clamps_box;
+          Alcotest.test_case "project leaves average rows" `Quick
+            test_constraints_project_leaves_average_rows;
+          Alcotest.test_case "project scales hose caps" `Quick
+            test_constraints_project_scales_hose_caps;
+          Alcotest.test_case "project skips zero-bound rows" `Quick
+            test_constraints_project_skips_zero_bound;
         ] );
       ( "encodings",
         [
@@ -1276,6 +1251,8 @@ let () =
           Alcotest.test_case "refine infeasible start" `Quick
             test_probes_refine_infeasible_start;
           Alcotest.test_case "score projects" `Quick test_probes_score_projects;
+          Alcotest.test_case "score rejects average spike" `Quick
+            test_probes_score_rejects_average_spike;
           Alcotest.test_case "best candidate skips infeasible" `Quick
             test_probes_best_candidate_skips_infeasible;
         ] );
@@ -1283,11 +1260,5 @@ let () =
         [
           Alcotest.test_case "quantized grid" `Quick test_quantized_gap_problem;
           Alcotest.test_case "quantized adversary" `Quick test_quantized_adversary;
-          Alcotest.test_case "client-split encoding" `Quick
-            test_client_split_encoding_matches_oracle;
-          Alcotest.test_case "capacity adversary" `Quick
-            test_capacity_adversary_fig1;
-          Alcotest.test_case "capacity pinning feasibility" `Quick
-            test_capacity_adversary_respects_pinning_feasibility;
         ] );
     ]

@@ -273,44 +273,6 @@ let test_pop_with_client_split_feasible () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_pop_slot_helpers () =
-  Alcotest.(check int) "levels" 0 (Pop.split_level ~threshold:40. ~max_splits:2 30.);
-  Alcotest.(check int) "tie splits" 1 (Pop.split_level ~threshold:40. ~max_splits:2 40.);
-  Alcotest.(check int) "one split" 1 (Pop.split_level ~threshold:40. ~max_splits:2 79.);
-  Alcotest.(check int) "two splits" 2 (Pop.split_level ~threshold:40. ~max_splits:2 80.);
-  Alcotest.(check int) "capped" 2 (Pop.split_level ~threshold:40. ~max_splits:2 10000.);
-  Alcotest.(check int) "slots" 7 (Pop.num_slots ~max_splits:2);
-  Alcotest.(check int) "slot id" 0 (Pop.slot ~max_splits:2 ~pair:0 ~level:0 ~copy:0);
-  Alcotest.(check int) "level 1 copy 1" 2 (Pop.slot ~max_splits:2 ~pair:0 ~level:1 ~copy:1);
-  Alcotest.(check int) "next pair" 7 (Pop.slot ~max_splits:2 ~pair:1 ~level:0 ~copy:0);
-  Alcotest.check_raises "bad copy" (Invalid_argument "Pop.slot: bad copy")
-    (fun () -> ignore (Pop.slot ~max_splits:2 ~pair:0 ~level:1 ~copy:2))
-
-let test_pop_fixed_split_matches_levels () =
-  (* one pair, one link: splitting cannot change a single-pair total, but
-     the per-part volumes must follow the slot assignment *)
-  let g = Topologies.line ~n:2 ~capacity:100. () in
-  let space = Demand.space_of_pairs g [| (0, 1) |] in
-  let pathset = Pathset.compute space ~k:1 in
-  let max_splits = 1 in
-  (* slots: level0 -> part0, level1 copies -> parts 0 and 1 *)
-  let assignment = [| 0; 0; 1 |] in
-  (* d = 30 < threshold 40: level 0, all volume in part 0 => capped at 50 *)
-  let r0 =
-    Pop.solve_fixed_split pathset ~parts:2 ~threshold:40. ~max_splits
-      ~assignment [| 30. |]
-  in
-  Alcotest.(check (float 1e-6)) "level 0 volume" 30. r0.Pop.total;
-  (* d = 90 >= 40: one split, 45 in each part; each part has 50 capacity *)
-  let r1 =
-    Pop.solve_fixed_split pathset ~parts:2 ~threshold:40. ~max_splits
-      ~assignment [| 90. |]
-  in
-  Alcotest.(check (float 1e-6)) "split across parts" 90. r1.Pop.total;
-  (* without splitting the same demand is capped at one part's 50 *)
-  let r2 = Pop.solve pathset ~parts:2 [| 0 |] [| 90. |] in
-  Alcotest.(check (float 1e-6)) "unsplit capped" 50. r2.Pop.total
-
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -489,8 +451,6 @@ let () =
           Alcotest.test_case "client split" `Quick test_client_split;
           Alcotest.test_case "client split max" `Quick test_client_split_respects_max;
           Alcotest.test_case "client split pop" `Quick test_pop_with_client_split_feasible;
-          Alcotest.test_case "slot helpers" `Quick test_pop_slot_helpers;
-          Alcotest.test_case "fixed split levels" `Quick test_pop_fixed_split_matches_levels;
         ] );
       ( "allocation",
         [
